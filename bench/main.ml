@@ -452,8 +452,8 @@ let e7_test_of name track =
 
 let e7 () =
   print_header "E7" "retrieval tracking overhead (Section 5.1)"
-    "maintaining the S component costs a per-read overhead; with tracking \
-     off, reads carry no rule bookkeeping";
+    "the read set comes from the select's own compiled pass, with no \
+     rescan; with tracking off, reads carry no rule bookkeeping";
   let off = run_test (e7_test_of "tracking-off" false) in
   let on = run_test (e7_test_of "tracking-on" true) in
   let rows =

@@ -92,25 +92,28 @@ let require_open t =
    changed, but replay needs the values. *)
 let dml_of_log (txl : Engine.txn_log) =
   let eff = txl.Engine.txl_effect in
+  (* the flat views merge the per-table parts, so each kind of record
+     comes out in global handle order whatever tables it spans *)
   let deletes =
     Handle.Set.fold
       (fun h acc ->
         if Database.find_row txl.Engine.txl_before h <> None then
           Wal.L_delete { table = Handle.table h; id = Handle.id h } :: acc
         else acc)
-      eff.Effect.del []
+      (Effect.del eff) []
   in
+  let ins = Effect.ins eff in
   let updates =
     Handle.Map.fold
       (fun h _cols acc ->
-        if Handle.Set.mem h eff.Effect.ins then acc
+        if Handle.Set.mem h ins then acc
         else
           match Database.find_row txl.Engine.txl_after h with
           | Some row ->
             Wal.L_update { table = Handle.table h; id = Handle.id h; row }
             :: acc
           | None -> acc)
-      eff.Effect.upd []
+      (Effect.upd eff) []
   in
   let inserts =
     Handle.Set.fold
@@ -119,7 +122,7 @@ let dml_of_log (txl : Engine.txn_log) =
         | Some row ->
           Wal.L_insert { table = Handle.table h; id = Handle.id h; row } :: acc
         | None -> acc)
-      eff.Effect.ins []
+      ins []
   in
   (* folds over sets/maps accumulate in reverse handle order; reverse
      back so the log lists tuples in handle (= insertion) order and

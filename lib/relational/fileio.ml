@@ -10,13 +10,19 @@ let rec retry_eintr f =
   | v -> v
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
 
+(* [Unix.single_write], not [Unix.write]: the latter loops over
+   64 KiB chunks internally and, when a signal interrupts a later
+   chunk, raises EINTR after bytes already went out — the retry would
+   then send them twice.  One system call per attempt keeps the count
+   of written bytes exact. *)
 let write_fully fd s =
   let b = Bytes.unsafe_of_string s in
   let len = Bytes.length b in
   let written = ref 0 in
   while !written < len do
     written :=
-      !written + retry_eintr (fun () -> Unix.write fd b !written (len - !written))
+      !written
+      + retry_eintr (fun () -> Unix.single_write fd b !written (len - !written))
   done
 
 let fsync fd = retry_eintr (fun () -> Unix.fsync fd)

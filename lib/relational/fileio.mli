@@ -17,7 +17,9 @@ val retry_eintr : (unit -> 'a) -> 'a
 
 val write_fully : Unix.file_descr -> string -> unit
 (** Write the whole string, looping over partial writes and retrying
-    interrupted ones.  Raises the underlying [Unix.Unix_error] for any
+    interrupted ones.  Each attempt is a single [write(2)], so an
+    interrupted attempt has written nothing and a retry never repeats
+    bytes.  Raises the underlying [Unix.Unix_error] for any
     failure other than [EINTR]. *)
 
 val fsync : Unix.file_descr -> unit

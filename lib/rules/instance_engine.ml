@@ -94,15 +94,10 @@ let instances_of_affected = function
   | Dml.A_select _ -> []
 
 let instance_info = function
-  | I_inserted h -> Trans_info.{ empty with ins = Handle.Set.singleton h }
-  | I_deleted (h, row) ->
-    Trans_info.{ empty with del = Handle.Map.singleton h row }
+  | I_inserted h -> Trans_info.inserted h
+  | I_deleted (h, row) -> Trans_info.deleted h row
   | I_updated (h, cols, old_row) ->
-    let upd_cols =
-      List.fold_left (fun s c -> Effect.Col_set.add c s) Effect.Col_set.empty cols
-    in
-    Trans_info.
-      { empty with upd = Handle.Map.singleton h { upd_cols; old_row } }
+    Trans_info.updated h (Effect.Col_set.of_list cols) old_row
 
 (* An instance may have been overtaken by later changes (row deleted by
    a cascading trigger before its own firing); skip firings whose

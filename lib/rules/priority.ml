@@ -55,9 +55,11 @@ let declare t ~high ~low =
   let succ = Str_set.add low (successors t high) in
   { before = Str_map.add high succ t.before }
 
-(* Is [a] strictly higher-priority than [b] (transitively)? *)
+(* Is [a] strictly higher-priority than [b] (transitively)?  A rule
+   that precedes nothing — every rule, when no priorities are declared —
+   needs no search; rule selection asks this of every candidate pair. *)
 let higher t a b =
-  if String.equal a b then false
+  if String.equal a b || not (Str_map.mem a t.before) then false
   else Option.is_some (find_path t a b)
 
 let pairs t =

@@ -32,6 +32,7 @@ type t = {
          place — the engine's by-name map, creation-order list and
          discrimination index all share the same value *)
   compiled : compiled_forms;
+  tables : string list; (* [relevant_tables], computed once *)
 }
 
 (* Section 3: "our syntax does not enforce the restriction that a
@@ -51,6 +52,18 @@ let validate_transition_references (def : Ast.rule_def) =
           (Errors.Invalid_transition_reference (Pretty.trans_table_str tt)))
     referenced
 
+(* The tables a rule's transition information can ever mention: the
+   tables of its basic transition predicates.  The Section 3 syntactic
+   restriction guarantees its transition-table references stay within
+   this set, so per-rule information may be pruned to it (the paper's
+   Section 4.3 optimization remark). *)
+let tables_of (def : Ast.rule_def) =
+  List.fold_left
+    (fun acc pred ->
+      let t = Ast.trans_pred_table pred in
+      if List.exists (String.equal t) acc then acc else t :: acc)
+    [] def.Ast.trans_preds
+
 let create ~seq (def : Ast.rule_def) =
   if def.Ast.trans_preds = [] then
     Errors.semantic "rule %S has no transition predicate" def.Ast.rule_name;
@@ -61,25 +74,11 @@ let create ~seq (def : Ast.rule_def) =
     seq;
     active = true;
     compiled = { cf_cond = None; cf_action = None };
+    tables = tables_of def;
   }
 
 let trans_preds r = r.def.Ast.trans_preds
-
-(* The tables a rule's transition information can ever mention: the
-   tables of its basic transition predicates.  The Section 3 syntactic
-   restriction guarantees its transition-table references stay within
-   this set, so per-rule information may be pruned to it (the paper's
-   Section 4.3 optimization remark). *)
-let relevant_tables r =
-  List.fold_left
-    (fun acc pred ->
-      let t =
-        match pred with
-        | Ast.Tp_inserted t | Ast.Tp_deleted t
-        | Ast.Tp_updated (t, _) | Ast.Tp_selected (t, _) -> t
-      in
-      if List.exists (String.equal t) acc then acc else t :: acc)
-    [] r.def.Ast.trans_preds
+let relevant_tables r = r.tables
 
 let relevant r table = List.exists (String.equal table) (relevant_tables r)
 let condition r = r.def.Ast.condition

@@ -27,6 +27,7 @@ type t = {
       (** mutable so activation toggles update the shared catalog entry
           in place *)
   compiled : compiled_forms;
+  tables : string list;  (** {!relevant_tables}, computed at creation *)
 }
 
 val validate_transition_references : Ast.rule_def -> unit

@@ -192,6 +192,9 @@ let trans_table_base = function
   | Tt_old_updated (t, _) | Tt_new_updated (t, _)
   | Tt_selected (t, _) -> t
 
+let trans_pred_table = function
+  | Tp_inserted t | Tp_deleted t | Tp_updated (t, _) | Tp_selected (t, _) -> t
+
 (* Does a transition-table reference fall within what a given basic
    transition predicate licenses (paper Section 3's syntactic
    restriction)?  A column-unspecific predicate ("updated t") licenses

@@ -189,6 +189,9 @@ type statement =
 val trans_table_base : trans_table -> string
 (** The underlying base table of a transition-table reference. *)
 
+val trans_pred_table : basic_trans_pred -> string
+(** The table a basic transition predicate watches. *)
+
 val trans_table_matches_pred : trans_table -> basic_trans_pred -> bool
 (** Does a transition-table reference fall within what a basic
     transition predicate licenses (paper Section 3's syntactic

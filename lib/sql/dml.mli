@@ -52,6 +52,17 @@ val exec_op :
     and error diagnostics are identical either way (asserted by the
     differential test harness). *)
 
+val select_read_set :
+  Eval.resolver -> Database.t -> Ast.select -> (Handle.t * string list) list
+(** The Section 5.1 read set of a select, stated directly: for a select
+    with one base table in its top-level FROM and no GROUP BY, the rows
+    of that table whose WHERE — evaluated with only that table bound —
+    holds or raises; otherwise every row of each top-level base table.
+    Each handle is paired with the columns the select references.  The
+    interpreter computes read sets with it by rescanning the table; the
+    compiled path derives the same set from its own pass, and the
+    differential tests check the two against each other. *)
+
 (** {2 Compiled operations}
 
     The rules engine caches each rule's action block in compiled form

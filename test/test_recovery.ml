@@ -943,6 +943,54 @@ let test_recovery_coverage () =
         true (n > 0))
     Fault.all_sites
 
+(* A transaction's WAL record lists its deletes, then its updates, then
+   its inserts, each in global handle order across every table it
+   touched: replay re-inserts tuples in their original order, and the
+   log bytes do not depend on how the effect is stored.  The commit
+   hook's effect is partitioned by table, so the record builder must
+   merge the tables; the handles here interleave across three. *)
+let test_wal_records_in_handle_order () =
+  let s = System.create () in
+  List.iter
+    (fun q -> ignore (System.exec s q))
+    [
+      "create table a (x int)";
+      "create table b (x int)";
+      "create table c (x int)";
+      "insert into c values (1)";
+      "insert into a values (1)";
+      "insert into b values (1), (2)";
+      "insert into a values (2)";
+      "insert into c values (2)";
+    ];
+  let logged = ref None in
+  Engine.set_commit_hook (System.engine s) (Some (fun txl -> logged := Some txl));
+  ignore
+    (System.exec s
+       "begin; insert into c values (3); insert into a values (3); insert         into b values (3); insert into a values (4); update c set x = 10;         update a set x = 20 where x = 2; update b set x = 30 where x = 1;         delete from b where x = 2; delete from a where x = 1; commit");
+  let ops =
+    match !logged with
+    | Some txl -> Durable.dml_of_log txl
+    | None -> Alcotest.fail "the commit hook did not run"
+  in
+  let key = function
+    | Wal.L_delete { table; id } -> (0, id, table)
+    | Wal.L_update { table; id; _ } -> (1, id, table)
+    | Wal.L_insert { table; id; _ } -> (2, id, table)
+  in
+  let keys = List.map key ops in
+  Alcotest.(check (list (triple int int string)))
+    "deletes, updates, inserts, each by handle" (List.sort compare keys) keys;
+  let count k = List.length (List.filter (fun (k', _, _) -> k' = k) keys) in
+  Alcotest.(check (list int)) "2 deletes, 4 updates, 4 inserts" [ 2; 4; 4 ]
+    [ count 0; count 1; count 2 ];
+  let tables k =
+    List.sort_uniq compare
+      (List.filter_map (fun (k', _, t) -> if k' = k then Some t else None) keys)
+  in
+  Alcotest.(check (list string)) "updates span three tables" [ "a"; "b"; "c" ] (tables 1);
+  Alcotest.(check (list string)) "inserts span three tables" [ "a"; "b"; "c" ] (tables 2)
+
 let suite =
   [
     Alcotest.test_case "crc32 check vector" `Quick test_crc32;
@@ -973,4 +1021,6 @@ let suite =
       test_kill_and_truncation;
     Alcotest.test_case "recovery harness coverage" `Slow
       test_recovery_coverage;
+    Alcotest.test_case "WAL records in global handle order" `Quick
+      test_wal_records_in_handle_order;
   ]
