@@ -170,9 +170,6 @@ let help_text =
    \\clock on        timestamp traces and time rules (\\clock off disables)\n\
    \\report          per-rule metrics (considered/fired/times/effect tuples)\n\
    \\prepared        list prepared statements (name, parameter count, body)\n\
-   \\compile         show whether the compiling evaluator is in use\n\
-   \\compile on      evaluate via compiled positional closures (default)\n\
-   \\compile off     evaluate via the tree-walking interpreter\n\
    \\checkpoint      write a checkpoint now (needs --data-dir)\n\
    \\wal status      show WAL/checkpoint state (needs --data-dir)\n\
    \\help            this message\n\
@@ -222,15 +219,6 @@ let interactive ?durable system =
           print_endline "clock disabled"
         | [ "report" ] -> print_report system
         | [ "prepared" ] -> print_prepared system
-        | [ "compile" ] ->
-          Printf.printf "expression compilation is %s\n"
-            (if !Sqlf.Compile.enabled then "on" else "off")
-        | [ "compile"; "on" ] ->
-          Sqlf.Compile.enabled := true;
-          print_endline "expression compilation enabled"
-        | [ "compile"; "off" ] ->
-          Sqlf.Compile.enabled := false;
-          print_endline "expression compilation disabled (interpreter in use)"
         | [ "checkpoint" ] -> (
           match durable with
           | None -> print_endline "no data directory open (start with --data-dir)"

@@ -7,7 +7,7 @@
      sopr-workload bench [SCENARIO...] [--duration SECS] [profile flags]
 
    [run] executes the generated stream on three in-memory twins
-   (compiled+indexed, interpreted, index-free) with per-transaction
+   (compiled+indexed, reference evaluator, index-free) with per-transaction
    differential checks and invariant checks.  [soak] adds durability:
    a live fault-injection phase and a fork+SIGKILL crash phase over
    --data-dir, with invariants and recovery differentials checked

@@ -23,7 +23,7 @@ module Ast = Sqlf.Ast
 module Parser = Sqlf.Parser
 module Pretty = Sqlf.Pretty
 module Eval = Sqlf.Eval
-module Compile = Sqlf.Compile
+module Plan = Sqlf.Plan
 module Effect = Rules.Effect
 module Trans_info = Rules.Trans_info
 module Engine = Rules.Engine
@@ -169,27 +169,6 @@ module System = struct
         | outcome, _ -> Outcome outcome
       end
 
-  (* The interpreter routing — the differential-oracle path when
-     {!Compile.enabled} is off.  EXECUTE reaches it with parameters
-     already substituted into the tree. *)
-  let run_op_interp eng (op : Ast.op) : exec_result =
-    match op with
-    | Ast.Select_op s when not (Engine.in_transaction eng) ->
-      (* a bare query outside a transaction is pure retrieval *)
-      Relation (Engine.query eng s)
-    | _ ->
-      if Engine.in_transaction eng then begin
-        match Engine.submit_ops eng [ op ] with
-        | [ rel ] -> Relation rel
-        | _ -> Msg "ok"
-      end
-      else begin
-        let outcome, results = Engine.execute_block eng [ op ] in
-        match outcome, results with
-        | Engine.Committed, [ rel ] -> Relation rel
-        | outcome, _ -> Outcome outcome
-      end
-
   let exec_statement t (stmt : Ast.statement) : exec_result =
     let eng = t.engine in
     (match t.on_ddl with
@@ -245,22 +224,16 @@ module System = struct
       Engine.drop_index eng name;
       Msg (Printf.sprintf "index %s dropped" name)
     | Ast.Stmt_op op ->
-      (* compiled execution enters the statement cache, so a repeated
-         statement re-runs its plan without recompiling *)
-      if !Compile.enabled then run_cop eng op (Engine.cached_cop eng op)
-      else run_op_interp eng op
+      (* execution enters the statement cache, so a repeated statement
+         re-runs its plan without recompiling *)
+      run_cop eng op (Engine.cached_cop eng op)
     | Ast.Stmt_prepare (name, op) ->
       Engine.prepare eng ~name op;
       Msg (Printf.sprintf "prepared %s" name)
     | Ast.Stmt_execute (name, args) ->
       let p = Engine.find_prepared eng name in
       let params = Engine.bind_params p args in
-      if !Compile.enabled then
-        run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
-      else
-        (* interpreter oracle: substitute the bound constants into the
-           tree and run it as if typed literally *)
-        run_op_interp eng (Ast.subst_params_op params (Engine.prepared_op p))
+      run_cop eng ~params (Engine.prepared_op p) (Engine.prepared_cop eng p)
     | Ast.Stmt_deallocate target ->
       Engine.deallocate eng target;
       Msg
@@ -288,7 +261,7 @@ module System = struct
         match plans with
         | [] -> [ "  (no table access)" ]
         | plans ->
-          List.map (fun p -> "  " ^ Eval.describe_source_plan p) plans
+          List.map (fun p -> "  " ^ Plan.describe_source_plan p) plans
       in
       (* what executing this statement would find in the statement
          cache right now — a non-mutating probe *)
@@ -318,7 +291,7 @@ module System = struct
             (fun (sql, sources) ->
               Printf.sprintf "  condition select: %s" sql
               :: List.map
-                   (fun p -> "    " ^ Eval.describe_source_plan p)
+                   (fun p -> "    " ^ Plan.describe_source_plan p)
                    sources)
             plans
       in

@@ -22,6 +22,7 @@ module Ast = Sqlf.Ast
 module Parser = Sqlf.Parser
 module Pretty = Sqlf.Pretty
 module Eval = Sqlf.Eval
+module Plan = Sqlf.Plan
 module Effect = Rules.Effect
 module Trans_info = Rules.Trans_info
 module Engine = Rules.Engine

@@ -22,8 +22,11 @@
    disarmed [hit] is a single ref read. *)
 
 type site =
-  | Dml_op  (** start of [Dml.exec_op] — every data manipulation operation *)
-  | Query_eval  (** top-level [Eval.eval_select] entry (queries, procedure reads) *)
+  | Dml_op  (** start of [Dml.exec_cop] — every data manipulation operation *)
+  | Query_eval
+      (** top-level select entry: [Compile.eval_select] (queries,
+          procedure reads), a select operation, and the reference
+          evaluator's [Eval.eval_select] *)
   | Rule_condition  (** rule condition evaluation in the engine *)
   | Rule_action  (** rule action execution in the engine *)
   | Procedure_call  (** external procedure invocation (Section 5.2) *)

@@ -22,6 +22,7 @@ module Ast = Sqlf.Ast
 module Dml = Sqlf.Dml
 module Eval = Sqlf.Eval
 module Compile = Sqlf.Compile
+module Plan = Sqlf.Plan
 module Pretty = Sqlf.Pretty
 module Str_map = Map.Make (String)
 module Str_set = Set.Make (String)
@@ -41,6 +42,11 @@ type config = {
          only rules registered on the affected (table, op, column)
          keys; off = the literal Figure 1 linear scan over the whole
          catalog, retained as a differential oracle *)
+  reference_eval : bool;
+      (* run statements, rule conditions, rule actions and procedure
+         reads through the planner-free reference evaluator ([Eval])
+         instead of compiled closures: the differential twin of the
+         tests and the workload runner, never a production setting *)
 }
 
 let default_config =
@@ -51,6 +57,7 @@ let default_config =
     optimize = true;
     prune_info = true;
     rule_index = true;
+    reference_eval = false;
   }
 
 type outcome = Committed | Rolled_back
@@ -305,9 +312,9 @@ let set_commit_hook t hook = t.commit_hook <- hook
    resolver reads (the snapshot at the start of the operation or
    condition evaluation), and every scan-vs-probe decision is counted
    in the engine statistics. *)
-let access_for t db : Eval.access =
+let access_for t db : Plan.access =
   {
-    Eval.acc_cols =
+    Plan.acc_cols =
       (fun ~table ->
         if Database.has_table db table then
           Some (Table.col_names (Database.table db table))
@@ -348,9 +355,21 @@ let access_for t db : Eval.access =
    switch changes which candidate shapes are even collected). *)
 let gen_key t =
   (t.ddl_gen * 8)
-  + (if !Eval.predicate_pushdown then 4 else 0)
-  + (if !Eval.join_optimization then 2 else 0)
-  + if !Eval.cost_model then 1 else 0
+  + (if !Plan.predicate_pushdown then 4 else 0)
+  + (if !Plan.join_optimization then 2 else 0)
+  + if !Plan.cost_model then 1 else 0
+
+(* The cacheable form of an operation: compiled closures, or the
+   reference evaluator's interpretation on a reference engine. *)
+let compile_op t op =
+  if t.config.reference_eval then Dml.reference_op op else Dml.compile_op t.db op
+
+(* A select outside the DML layer — a top-level query or an external
+   procedure's read — run by the engine's executor with its access
+   hooks, so it probes indexes and is counted in [stats]. *)
+let eval_select t resolve s =
+  if t.config.reference_eval then Eval.eval_select resolve s
+  else Compile.eval_select ~access:(access_for t t.db) resolve t.db s
 
 (* Fetch (or build) the compiled form of a rule's condition. *)
 let compiled_condition t (rule : Rule.t) cond =
@@ -372,7 +391,7 @@ let compiled_action t (rule : Rule.t) ops =
   match cf.Rule.cf_action with
   | Some (k, cops) when k = key -> cops
   | _ ->
-    let cops = List.map (Dml.compile_op t.db) ops in
+    let cops = List.map (compile_op t) ops in
     cf.Rule.cf_action <- Some (key, cops);
     cops
 
@@ -399,14 +418,14 @@ let cached_cop t (op : Ast.op) =
     cop
   | Some _ ->
     t.stats.stmt_cache_invalidations <- t.stats.stmt_cache_invalidations + 1;
-    let cop = Dml.compile_op t.db op in
+    let cop = compile_op t op in
     Hashtbl.replace t.stmt_cache text (key, cop);
     cop
   | None ->
     t.stats.stmt_cache_misses <- t.stats.stmt_cache_misses + 1;
     if Hashtbl.length t.stmt_cache >= stmt_cache_max then
       Hashtbl.reset t.stmt_cache;
-    let cop = Dml.compile_op t.db op in
+    let cop = compile_op t op in
     Hashtbl.replace t.stmt_cache text (key, cop);
     cop
 
@@ -463,12 +482,12 @@ let prepared_cop t (p : prepared) =
     cop
   | Some _ ->
     t.stats.stmt_cache_invalidations <- t.stats.stmt_cache_invalidations + 1;
-    let cop = Dml.compile_op t.db p.pr_op in
+    let cop = compile_op t p.pr_op in
     p.pr_compiled <- Some (key, cop);
     cop
   | None ->
     t.stats.stmt_cache_misses <- t.stats.stmt_cache_misses + 1;
-    let cop = Dml.compile_op t.db p.pr_op in
+    let cop = compile_op t p.pr_op in
     p.pr_compiled <- Some (key, cop);
     cop
 
@@ -668,19 +687,17 @@ let create_rule t def =
   (* compile the condition and action block eagerly so the first
      consideration/firing pays no lowering cost.  Best-effort: if
      warming fails the lazy path recompiles at first use, and any
-     genuine error keeps the interpreter's timing (at evaluation). *)
-  if !Compile.enabled then begin
-    (try
-       match Rule.condition rule with
-       | Some cond -> ignore (compiled_condition t rule cond)
-       | None -> ()
-     with _ -> ());
-    try
-      match Rule.action rule with
-      | Ast.Act_block ops -> ignore (compiled_action t rule ops)
-      | Ast.Act_rollback | Ast.Act_call _ -> ()
-    with _ -> ()
-  end;
+     genuine error keeps its evaluation-time timing. *)
+  (try
+     match Rule.condition rule with
+     | Some cond -> ignore (compiled_condition t rule cond)
+     | None -> ()
+   with _ -> ());
+  (try
+     match Rule.action rule with
+     | Ast.Act_block ops -> ignore (compiled_action t rule ops)
+     | Ast.Act_rollback | Ast.Act_call _ -> ()
+   with _ -> ());
   t.rules_rev <- rule :: t.rules_rev;
   t.rules_by_name <- Str_map.add rule.Rule.name rule t.rules_by_name;
   t.rule_count <- t.rule_count + 1;
@@ -761,16 +778,6 @@ let run_steps t ~resolver_of ~exec items =
     (Effect.empty, []) items
   |> fun (eff, results) -> (eff, List.rev results)
 
-let run_ops t ~resolver_of (ops : Ast.op list) =
-  run_steps t ~resolver_of
-    ~exec:(fun ~access resolve db op ->
-      Dml.exec_op ~track_selects:t.config.track_selects
-        ~optimize:t.config.optimize ~access resolve db op)
-    ops
-
-(* The compiled counterpart: same per-operation resolver/access/state
-   threading, entering cached compiled operations.  [params] is the
-   EXECUTE parameter frame (absent for rule actions). *)
 let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
   run_steps t ~resolver_of
     ~exec:(fun ~access resolve db cop ->
@@ -778,27 +785,19 @@ let run_cops t ~resolver_of ?params (cops : Dml.cop list) =
         ~optimize:t.config.optimize ~access ?params resolve db cop)
     cops
 
+(* Operations not taken from a cache (external blocks, blocks computed
+   by external procedures) are compiled and run once. *)
+let run_ops t ~resolver_of (ops : Ast.op list) =
+  run_cops t ~resolver_of (List.map (compile_op t) ops)
+
 let external_resolver db : Eval.resolver = Eval.base_resolver db
 
 (* Execute externally-generated operations inside the open transaction
-   (they extend the current external transition).  Section 2.1 requires
+   (they extend the current external transition): statement-cache /
+   prepared plans, or operations compiled once.  Section 2.1 requires
    operation blocks to execute indivisibly, so a failing operation must
    not leave its predecessors' mutations behind: the whole block's
    effects are applied and recorded in [pending], or none are. *)
-let submit_ops t (ops : Ast.op list) =
-  require_txn t;
-  let db0 = t.db in
-  match run_ops t ~resolver_of:external_resolver ops with
-  | eff, results ->
-    t.txn.pending <- Effect.compose t.txn.pending eff;
-    t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
-    results
-  | exception e ->
-    t.db <- db0;
-    raise e
-
-(* Compiled counterpart of [submit_ops]: statement-cache / prepared
-   plans entering an open transaction, with the same indivisibility. *)
 let submit_cops t ?params (cops : Dml.cop list) =
   require_txn t;
   let db0 = t.db in
@@ -810,6 +809,8 @@ let submit_cops t ?params (cops : Dml.cop list) =
   | exception e ->
     t.db <- db0;
     raise e
+
+let submit_ops t (ops : Ast.op list) = submit_cops t (List.map (compile_op t) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Rule processing (Figure 1)                                          *)
@@ -861,7 +862,7 @@ let action_block t (rule : Rule.t) resolve =
   | Ast.Act_call name ->
     Fault.hit Fault.Procedure_call;
     let fn = Procedures.find t.procedures name in
-    fn { Procedures.query = (fun s -> Eval.eval_select resolve s);
+    fn { Procedures.query = eval_select t resolve;
          rule_name = rule.Rule.name }
 
 let process_rules_exn t =
@@ -975,16 +976,11 @@ let process_rules_exn t =
           timed t
             (fun dt -> m.m_cond_seconds <- m.m_cond_seconds +. dt)
             (fun () ->
-              if !Compile.enabled then
+              if t.config.reference_eval then Eval.eval_predicate resolve [] cond
+              else
                 Compile.run_predicate ~access:(access_for t t.db)
                   ~use_cache:t.config.optimize ~db:t.db resolve
-                  (compiled_condition t rule cond)
-              else
-                let cache =
-                  if t.config.optimize then Some (Eval.make_cache ()) else None
-                in
-                Eval.eval_predicate ?cache ~access:(access_for t t.db) resolve
-                  [] cond)
+                  (compiled_condition t rule cond))
       in
       record t (Ev_considered { rule = rule.Rule.name; condition_held = cond_holds });
       Log.debug (fun m ->
@@ -1017,11 +1013,10 @@ let process_rules_exn t =
             (fun () ->
               let resolver_of db = Transition_tables.resolver info db in
               match Rule.action rule with
-              | Ast.Act_block ops when !Compile.enabled ->
+              | Ast.Act_block ops ->
                 run_cops t ~resolver_of (compiled_action t rule ops)
-              | _ ->
-                let ops = action_block t rule resolve in
-                run_ops t ~resolver_of ops)
+              | Ast.Act_rollback | Ast.Act_call _ ->
+                run_ops t ~resolver_of (action_block t rule resolve))
         in
         t.txn.txn_effect <- Effect.compose t.txn.txn_effect eff;
         m.m_fired <- m.m_fired + 1;
@@ -1159,12 +1154,12 @@ let rollback_txn t =
   rollback_to_txn_start t
 
 (* The paper's default behaviour: one externally-generated operation
-   block, executed as one transaction with rule processing before
-   commit. *)
-let execute_block t (ops : Ast.op list) =
+   block — cached / prepared plans, or operations compiled once —
+   executed as one transaction with rule processing before commit. *)
+let execute_block_cops t ?params (cops : Dml.cop list) =
   begin_txn t;
   try
-    let results = submit_ops t ops in
+    let results = submit_cops t ?params cops in
     let outcome = commit t in
     (outcome, results)
   with e ->
@@ -1173,26 +1168,13 @@ let execute_block t (ops : Ast.op list) =
     if in_transaction t then abort_txn t e;
     raise e
 
-(* Compiled counterpart of [execute_block]: one transaction running
-   cached / prepared plans, rule processing before commit as usual. *)
-let execute_block_cops t ?params (cops : Dml.cop list) =
-  begin_txn t;
-  try
-    let results = submit_cops t ?params cops in
-    let outcome = commit t in
-    (outcome, results)
-  with e ->
-    if in_transaction t then abort_txn t e;
-    raise e
+let execute_block t (ops : Ast.op list) =
+  execute_block_cops t (List.map (compile_op t) ops)
 
 (* Evaluate a query outside any rule context.  Top-level queries are
    one-shot, so their compiled form is built, run and discarded — the
    win here is the positional evaluation itself, not caching. *)
-let query t (s : Ast.select) =
-  if !Compile.enabled then
-    Compile.eval_select ~access:(access_for t t.db) (external_resolver t.db)
-      t.db s
-  else Eval.eval_select ~access:(access_for t t.db) (external_resolver t.db) s
+let query t (s : Ast.select) = eval_select t (external_resolver t.db) s
 
 (* Evaluate a cached / prepared select plan outside any transaction —
    the compiled-path counterpart of [query].  The caller guarantees the
@@ -1213,16 +1195,14 @@ let query_cop t ?params (cop : Dml.cop) =
 
 (* Planning must not perturb the engine's scan/probe statistics: it is
    the same access record with the note hook silenced. *)
-let explain_access t db : Eval.access =
-  { (access_for t db) with Eval.acc_note = (fun ~table:_ _ -> ()) }
+let explain_access t db : Plan.access =
+  { (access_for t db) with Plan.acc_note = (fun ~table:_ _ -> ()) }
 
-(* EXPLAIN must report what the executor will actually do, so it plans
-   through whichever path execution would take. *)
+(* EXPLAIN reports what the executor will actually do: it runs the
+   executor's own planner. *)
 let explain_op t (op : Ast.op) =
-  if !Compile.enabled then
-    Compile.plan_op ~access:(explain_access t t.db) (external_resolver t.db)
-      t.db op
-  else Eval.plan_op ~access:(explain_access t t.db) (external_resolver t.db) op
+  Compile.plan_op ~access:(explain_access t t.db) (external_resolver t.db) t.db
+    op
 
 (* Collect the outermost embedded selects of a condition expression —
    the units the evaluator plans independently.  Sub-selects nested
@@ -1270,12 +1250,8 @@ let explain_rule t name =
   | Some cond ->
     let access = explain_access t t.db in
     let resolve = Transition_tables.resolver Trans_info.empty t.db in
-    let plan s =
-      if !Compile.enabled then Compile.plan_select ~access resolve t.db s
-      else Eval.plan_select ~access resolve s
-    in
     List.map
-      (fun s -> (Sqlf.Pretty.select_str s, plan s))
+      (fun s -> (Sqlf.Pretty.select_str s, Compile.plan_select ~access resolve t.db s))
       (embedded_selects cond)
 
 (* DDL is not part of the transition model: it applies outside

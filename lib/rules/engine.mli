@@ -20,6 +20,7 @@
 open Relational
 module Ast = Sqlf.Ast
 module Eval = Sqlf.Eval
+module Plan = Sqlf.Plan
 
 type config = {
   max_steps : int;
@@ -32,7 +33,7 @@ type config = {
       (** Section 5.1: maintain the [S] effect component so rules can
           be triggered by data retrieval. *)
   optimize : bool;
-      (** Uncorrelated-subquery caching in the evaluator. *)
+      (** Uncorrelated-subquery caching in compiled closures. *)
   prune_info : bool;
       (** Keep, per rule, only the transition information on tables its
           predicates mention (the Section 4.3 optimization remark);
@@ -44,6 +45,14 @@ type config = {
           rules) per transition.  [false] is the literal Figure 1 linear
           scan over the whole catalog, retained as a differential
           oracle; semantically invisible either way. *)
+  reference_eval : bool;
+      (** Run statements, rule conditions, rule actions and procedure
+          reads through the planner-free reference evaluator
+          ({!Sqlf.Eval}: full scans, nested loops, no memoization)
+          instead of compiled closures.  The differential twin of the
+          tests and the workload runner; semantically invisible, and
+          never a production setting.  EXPLAIN still shows the
+          compiled planner's choices. *)
 }
 
 val default_config : config
@@ -323,9 +332,10 @@ val query_cop : t -> ?params:Value.t array -> Dml.cop -> Eval.relation
 
 (** {2 EXPLAIN} *)
 
-val explain_op : t -> Ast.op -> Eval.source_plan list
+val explain_op : t -> Ast.op -> Plan.source_plan list
 (** Plan a DML operation without executing it, using exactly the
-    executor's access-path decision procedure (see {!Eval.plan_op}).
+    executor's access-path decision procedure (see
+    {!Sqlf.Compile.plan_op}).
     Planning never mutates the database and does not perturb the
     scan/probe statistics. *)
 
@@ -335,7 +345,7 @@ val rule_index_keys : t -> string -> string list
     definition, so also reported for deactivated rules (which are
     unregistered until reactivated).  Raises [Unknown_rule]. *)
 
-val explain_rule : t -> string -> (string * Eval.source_plan list) list
+val explain_rule : t -> string -> (string * Plan.source_plan list) list
 (** Plan a rule's condition as it would be evaluated at a rule
     processing point: one entry per outermost embedded select of the
     condition, paired with its rendered source text.  Transition tables

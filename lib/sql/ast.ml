@@ -361,11 +361,11 @@ let base_tables_of_expr e =
 (* ------------------------------------------------------------------ *)
 (* Positional parameters.                                              *)
 
-(* Map every [Param i] in an expression through [f].  The interpreter
-   path of EXECUTE substitutes argument literals into the AST with
-   this (the paper-faithful reading of "bind constants"); the compiled
-   path binds a parameter frame instead, and the differential oracle
-   proves the two agree. *)
+(* Map every [Param i] in an expression through [f].  The reference
+   evaluator's path of EXECUTE substitutes argument literals into the
+   AST with this (the paper-faithful reading of "bind constants"); the
+   compiled path binds a parameter frame instead, and the differential
+   oracle proves the two agree. *)
 let rec map_params_expr f expr =
   let fe = map_params_expr f in
   match expr with

@@ -235,7 +235,7 @@ val param_count_op : op -> int
 
 val subst_params_op : Value.t array -> op -> op
 (** Substitute argument literals for the parameters of an operation —
-    the interpreter path of EXECUTE.  Arity is validated by the caller;
+    the reference-evaluator path of EXECUTE.  Arity is validated by the caller;
     an out-of-range index raises a semantic error. *)
 
 val parameterize_op : op -> op * Value.t array

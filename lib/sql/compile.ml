@@ -1,54 +1,44 @@
-(* Compilation of expressions and selects to positional closures.
+(* Compilation of expressions and selects to positional closures: the
+   executor of every statement, rule condition and rule action, and the
+   only access-path planner.
 
-   The tree-walking evaluator in [Eval] resolves every column
-   reference by searching the environment — a string comparison per
-   binding per frame, repeated for every candidate row.  This module
-   performs that search ONCE per statement: an [Ast.expr] is lowered
-   to an OCaml closure in which each column reference has been
-   resolved to a (frame depth, binding index, column index) triple,
-   so per-row evaluation is three array loads.  Scope search,
-   ambiguity checking and unknown-column detection all happen at
-   compile time; their errors keep the interpreter's exact payloads
-   and — critically — its exact timing, by compiling to closures that
-   raise when (and only when) the interpreter's evaluation would have
-   reached the faulty reference.  A CASE branch never taken, a
-   projection over zero rows, a WHERE clause over an empty cross
-   product: none of these surface a compile-detected error, exactly
-   as in the interpreter.
+   The reference evaluator in [Eval] resolves every column reference
+   by searching the environment — a string comparison per binding per
+   frame, repeated for every candidate row.  This module performs that
+   search ONCE per statement: an [Ast.expr] is lowered to an OCaml
+   closure in which each column reference has been resolved to a
+   (frame depth, binding index, column index) triple, so per-row
+   evaluation is three array loads.  Scope search, ambiguity checking
+   and unknown-column detection all happen at compile time; their
+   errors keep the reference evaluator's exact payloads and — critically
+   — its exact timing, by compiling to closures that raise when (and
+   only when) the reference evaluation would have reached the faulty
+   reference.  A CASE branch never taken, a projection over zero rows,
+   a WHERE clause over an empty cross product: none of these surface a
+   compile-detected error, exactly as in the reference evaluator.
 
    Two more per-row decisions move to compile time:
 
-   - Correlation analysis.  The interpreter's uncorrelated-subquery
-     cache watches the first evaluation of each embedded select and
-     memoizes it if no column resolved from an enclosing scope.  Here
-     the same watch arithmetic runs over the *compile-time* shape: a
-     subquery none of whose compiled references (on any branch)
-     reaches an enclosing scope is assigned a memo slot.  Static
-     correlation is a conservative superset of the dynamic kind —
-     anything the interpreter would have re-evaluated, we re-evaluate
-     too — so results are identical within the fixed database state a
-     cache/slot set is scoped to.
+   - Correlation analysis.  A subquery none of whose compiled
+     references (on any branch) reaches an enclosing scope cannot
+     depend on the outer row: it is assigned a memo slot and evaluated
+     at most once per runtime (one database state).
 
-   - Sargable-conjunct selection.  The access-path planner's
-     candidate scan (attribution, independence analysis, catalog
-     lookup of usable columns) is static; only the probe *values* are
-     evaluated at run time.  All candidate conjuncts are kept, in
-     conjunct order, and tried with the interpreter's exact fallback
-     semantics (value evaluation error -> next candidate; no usable
-     index -> next candidate; none left -> scan), so the executor's
-     scan/probe counters and EXPLAIN output match the interpreter's.
-
-   The interpreter stays as the differential oracle: the [enabled]
-   switch routes the DML layer and the rules engine through either
-   path, and test/test_compile_diff.ml asserts that results — and
-   error diagnostics — agree. *)
+   - Access paths ([Plan]).  The sargable-conjunct scan (attribution,
+     independence analysis, catalog lookup of usable columns) and the
+     hash-join links are static; only the probe *values* are evaluated
+     at run time.  All candidate conjuncts are kept, in conjunct order,
+     ranked by the cost model and tried with a fixed fallback (value
+     evaluation error -> next candidate; no usable index -> next
+     candidate; none left -> scan).  A probe or a hash join skips only
+     rows on which the WHERE clause is not true, and it preserves the
+     nested-loop enumeration order, so results agree with the reference
+     evaluator's full scans; test/test_compile_diff.ml asserts that
+     results — and error diagnostics — agree.  (A skipped row is also
+     never evaluated, so an error the WHERE would raise there does not
+     surface: where the reference raises, a planned run may not.) *)
 
 open Relational
-
-(* Route DML and rule processing through the compiled path (true, the
-   default) or the tree-walking interpreter.  The switch exists for
-   the differential oracle and the ablation benchmark. *)
-let enabled = ref true
 
 (* ------------------------------------------------------------------ *)
 (* Runtime representation                                              *)
@@ -59,17 +49,16 @@ let enabled = ref true
    compile time. *)
 type renv = Row.t array array
 
-(* Per-evaluation-unit runtime state: the resolver and access hooks
-   the interpreter threads through its context, plus the memo slots
-   backing the compile-time uncorrelated-subquery analysis.  One [rt]
-   per DML operation or rule-condition evaluation — the same lifetime
-   as the interpreter's [Eval.cache]. *)
+(* Per-evaluation-unit runtime state: the resolver and access hooks,
+   plus the memo slots backing the compile-time uncorrelated-subquery
+   analysis.  One [rt] per DML operation or rule-condition evaluation:
+   the memo slots are only sound while the database state is fixed. *)
 type rt = {
   rt_resolve : Eval.resolver;
   rt_db : Database.t;
       (* the database the resolver serves base tables from: a lone
          base table is folded straight from its stored value *)
-  rt_access : Eval.access option;
+  rt_access : Plan.access option;
   rt_slots : Eval.relation option array;
   rt_use_cache : bool;
   rt_params : Value.t array;
@@ -101,7 +90,7 @@ let cexpr_holds rt (ce : cexpr) (env : renv) =
 type cselect = {
   cs_cols : string array; (* static output names of the non-empty path *)
   cs_run : rt -> renv -> Eval.relation;
-  cs_plan : rt -> renv -> Eval.source_plan list;
+  cs_plan : rt -> renv -> Plan.source_plan list;
   cs_tracked : (rt -> Eval.relation * Handle.t list * bool) option;
       (* selects whose only FROM item is a base table: [cs_run] at top
          level, also returning the handles whose WHERE held and whether
@@ -113,7 +102,7 @@ type cselect = {
 type ccand = {
   cd_column : string;
   cd_conj : Ast.expr; (* for EXPLAIN rendering only *)
-  cd_shape : Eval.probe_shape; (* static shape, for cost estimation *)
+  cd_shape : Plan.probe_shape; (* static shape, for cost estimation *)
   cd_values :
     [ `Exprs of cexpr list
     | `Select of (rt -> renv -> Value.t list)
@@ -136,9 +125,8 @@ type ctx = {
          innermost first, each frame the (binding name, columns) list
          of one select's FROM items *)
   cc_watches : (int * bool ref) list;
-      (* static correlation watches, same arithmetic as the
-         interpreter's: a resolution in one of the outermost
-         [suffix_len] scopes raises the flag — at compile time *)
+      (* static correlation watches: a resolution in one of the
+         outermost [suffix_len] scopes raises the flag *)
   cc_slots : int ref; (* memo-slot counter for this compile unit *)
 }
 
@@ -156,7 +144,7 @@ let col_index cols c =
 (* Compile-time mirror of [Eval.lookup_column]: same innermost-first
    search, same qualified/unqualified rules, same error payloads.
    Instead of a value it yields a position — or the error the
-   interpreter would raise on every evaluation. *)
+   reference evaluator would raise on every evaluation. *)
 type col_hit = H_at of int * int * int | H_err of Errors.t
 
 let resolve_col ctx qualifier column =
@@ -204,7 +192,7 @@ let resolve_col ctx qualifier column =
   go 0 ctx.cc_shape
 
 (* ------------------------------------------------------------------ *)
-(* Shared runtime helpers (ported verbatim from the interpreter)       *)
+(* Shared runtime helpers (as in the reference evaluator)             *)
 
 module Key_map = Map.Make (struct
   type t = Value.t
@@ -246,14 +234,14 @@ let take limit rows =
     go n rows
 
 (* Rank the compiled candidates with the shared decision procedure
-   ([Eval.choose_candidates]), then try them cheapest-first with the
-   interpreter's fallback semantics: a value-evaluation error or an
+   ([Plan.choose_candidates]), then try them cheapest-first with the
+   fixed fallback semantics: a value-evaluation error or an
    unusable index moves on to the next candidate; [None] means "scan
    instead".  Probe values evaluate against the outer scopes alone
    (they were compiled under them), in non-grouped context. *)
-let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
+let run_probe_values rt access cp (outer : renv) : Plan.probe_hit option =
   let ranked =
-    Eval.choose_candidates access ~table:cp.cp_table
+    Plan.choose_candidates access ~table:cp.cp_table
       (List.map (fun cd -> (cd, cd.cd_column, cd.cd_shape)) cp.cp_cands)
   in
   List.find_map
@@ -264,27 +252,27 @@ let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
       let probe () =
         match cd.cd_values with
         | `Exprs ces ->
-          access.Eval.acc_probe ~table:cp.cp_table ~column:cd.cd_column
+          access.Plan.acc_probe ~table:cp.cp_table ~column:cd.cd_column
             (List.map (fun ce -> ce rt None outer) ces)
         | `Select f ->
-          access.Eval.acc_probe ~table:cp.cp_table ~column:cd.cd_column
+          access.Plan.acc_probe ~table:cp.cp_table ~column:cd.cd_column
             (f rt outer)
         | `Bounds (lo, hi) ->
-          access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
+          access.Plan.acc_range ~table:cp.cp_table ~column:cd.cd_column
             ~lower:(eval_bound lo) ~upper:(eval_bound hi)
         | `Like ce -> (
           match ce rt None outer with
           | Value.Null ->
             (* LIKE NULL is UNKNOWN for every row: a NULL-bounded range
                probe selects exactly nothing *)
-            access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
+            access.Plan.acc_range ~table:cp.cp_table ~column:cd.cd_column
               ~lower:(Some (Value.Null, true))
               ~upper:None
           | Value.Str pat -> (
             match Index.like_prefix pat with
             | None -> None
             | Some (prefix, upper) ->
-              access.Eval.acc_range ~table:cp.cp_table ~column:cd.cd_column
+              access.Plan.acc_range ~table:cp.cp_table ~column:cd.cd_column
                 ~lower:(Some (Value.Str prefix, true))
                 ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
           | Value.Int _ | Value.Float _ | Value.Bool _ ->
@@ -301,7 +289,7 @@ let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
         in
         Some
           {
-            Eval.ph_column = cd.cd_column;
+            Plan.ph_column = cd.cd_column;
             ph_conjunct = cd.cd_conj;
             ph_kind = kind;
             ph_est = est;
@@ -315,17 +303,17 @@ let run_probe_values rt access cp (outer : renv) : Eval.probe_hit option =
 let probe_or_scan rt access probe tbl outer =
   match Option.bind probe (fun cp -> run_probe_values rt access cp outer) with
   | Some hit ->
-    access.Eval.acc_note ~table:tbl
-      (match hit.Eval.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-    Some hit.Eval.ph_pairs
+    access.Plan.acc_note ~table:tbl
+      (match hit.Plan.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
+    Some hit.Plan.ph_pairs
   | None ->
-    access.Eval.acc_note ~table:tbl `Seq_scan;
+    access.Plan.acc_note ~table:tbl `Seq_scan;
     None
 
 (* Compiled projections: stars become position lists into the local
    frame; an unknown table-star becomes a closure raising at
    projection time (i.e. once per projected row environment, exactly
-   when the interpreter raises). *)
+   when the reference evaluator raises). *)
 type cproj =
   | P_pos of (string * int * int) list (* output name, binding, column *)
   | P_err of Errors.t
@@ -415,7 +403,7 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
         Value.Bool holds)
   | Ast.And (a, b) ->
     (* SQL three-valued AND/OR are not short-circuited: both operands
-       are always evaluated (same expression shape as the interpreter,
+       are always evaluated (same expression shape as the reference,
        so evaluation-order effects agree) *)
     let ca = cexpr_of ctx a and cb = cexpr_of ctx b in
     fun rt g env ->
@@ -574,12 +562,10 @@ let rec cexpr_of ctx (e : Ast.expr) : cexpr =
       go cbranches
 
 (* Compile an embedded select and decide — statically — whether its
-   evaluation can be memoized.  The watch registered here mirrors the
-   interpreter's first-evaluation watch: if no compiled column
-   reference anywhere in the subquery reaches an enclosing scope, the
-   subquery cannot depend on the outer row and gets a memo slot
-   (consulted only when the runtime's [rt_use_cache] is set,
-   mirroring evaluation without a cache). *)
+   evaluation can be memoized: if no compiled column reference
+   anywhere in the subquery reaches an enclosing scope, the subquery
+   cannot depend on the outer row and gets a memo slot (consulted only
+   when the runtime's [rt_use_cache] is set). *)
 and compile_subquery ctx (s : Ast.select) : rt -> renv -> Eval.relation =
   let n0 = List.length ctx.cc_shape in
   let touched = ref false in
@@ -617,7 +603,7 @@ and compile_select' ctx (s : Ast.select) : cselect =
 
 (* Compound (set) operations: compile each core, combine at run time,
    then the trailing ORDER BY keys — compiled against the head's
-   static output names, bound alone as in the interpreter. *)
+   static output names, bound alone as in the reference evaluator. *)
 and compile_compound ctx (s : Ast.select) : cselect =
   let head =
     compile_plain ctx { s with Ast.compounds = []; order_by = []; limit = None }
@@ -674,20 +660,27 @@ and compile_compound ctx (s : Ast.select) : cselect =
   in
   { cs_cols = head.cs_cols; cs_run; cs_plan; cs_tracked = None }
 
-(* The static mirror of the probe planner's candidate scan
-   ([Eval.probe_plan]): attribution and independence analysis over the
+(* The probe planner's candidate scan: try to satisfy one FROM source
+   (or DML victim table) by an index probe instead of a scan.  Scans
+   the WHERE conjuncts for sargable patterns — [col = e], [e = col],
+   [col IN (e, ...)], [col IN (select ...)], the range comparisons
+   [col < e] / [col <= e] / [col > e] / [col >= e] (and mirrored),
+   [col BETWEEN a AND b] and [col LIKE 'prefix%...'] — whose column
+   attributes uniquely to the target source and whose other side
+   provably cannot reference the frame being built
+   ([Plan.independence]).  Attribution and independence run over the
    compile-time frame, catalog columns from the compile-time database.
    Returns all sargable candidates in conjunct order; [run_probe_values]
-   applies the interpreter's per-candidate fallback at run time. *)
+   ranks them and applies the per-candidate fallback at run time. *)
 and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
     cprobe option =
   match where with
   | None -> None
   | Some pred ->
-    if not !Eval.predicate_pushdown then None
+    if not !Plan.predicate_pushdown then None
     else begin
       let ind_expr, ind_sel =
-        Eval.independence ~target:frame ~cols_of:(fun t ->
+        Plan.independence ~target:frame ~cols_of:(fun t ->
             if Database.has_table ctx.cc_db t then
               Some (Table.col_names (Database.table ctx.cc_db t))
             else None)
@@ -725,37 +718,37 @@ and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
       let candidate = function
         | Ast.Cmp (Ast.Eq, Ast.Col { qualifier; column }, e)
           when attributes_to_target qualifier column && ind_expr e ->
-          Some (column, Eval.Shape_eq (Some 1), `Exprs [ e ])
+          Some (column, Plan.Shape_eq (Some 1), `Exprs [ e ])
         | Ast.Cmp (Ast.Eq, e, Ast.Col { qualifier; column })
           when attributes_to_target qualifier column && ind_expr e ->
-          Some (column, Eval.Shape_eq (Some 1), `Exprs [ e ])
+          Some (column, Plan.Shape_eq (Some 1), `Exprs [ e ])
         | Ast.In_list (Ast.Col { qualifier; column }, es)
           when attributes_to_target qualifier column && List.for_all ind_expr es
           ->
-          Some (column, Eval.Shape_eq (Some (List.length es)), `Exprs es)
+          Some (column, Plan.Shape_eq (Some (List.length es)), `Exprs es)
         | Ast.In_select (Ast.Col { qualifier; column }, sub)
           when attributes_to_target qualifier column && ind_sel sub ->
-          Some (column, Eval.Shape_eq None, `Select sub)
+          Some (column, Plan.Shape_eq None, `Select sub)
         | Ast.Cmp (op, Ast.Col { qualifier; column }, e)
           when attributes_to_target qualifier column && ind_expr e -> (
           match range_of op e with
-          | Some bounds -> Some (column, Eval.Shape_range, `Bounds bounds)
+          | Some bounds -> Some (column, Plan.Shape_range, `Bounds bounds)
           | None -> None)
         | Ast.Cmp (op, e, Ast.Col { qualifier; column })
           when attributes_to_target qualifier column && ind_expr e -> (
           match range_of (mirror op) e with
-          | Some bounds -> Some (column, Eval.Shape_range, `Bounds bounds)
+          | Some bounds -> Some (column, Plan.Shape_range, `Bounds bounds)
           | None -> None)
         | Ast.Between (Ast.Col { qualifier; column }, lo, hi)
           when attributes_to_target qualifier column && ind_expr lo
                && ind_expr hi ->
           Some
             ( column,
-              Eval.Shape_range,
+              Plan.Shape_range,
               `Bounds (Some (lo, true), Some (hi, true)) )
         | Ast.Like (Ast.Col { qualifier; column }, p)
           when attributes_to_target qualifier column && ind_expr p ->
-          Some (column, Eval.Shape_prefix, `Like p)
+          Some (column, Plan.Shape_prefix, `Like p)
         | _ -> None
       in
       let cands =
@@ -781,7 +774,7 @@ and compile_probe_plan ctx ~frame ~target ~table (where : Ast.expr option) :
                   cd_shape = shape;
                   cd_values = cv;
                 })
-          (Eval.conjuncts pred)
+          (Plan.conjuncts pred)
       in
       match cands with [] -> None | _ :: _ -> Some { cp_table = table; cp_cands = cands }
     end
@@ -831,7 +824,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
         (name, Table.col_names (Database.table ctx.cc_db tbl_name), `Base tbl_name)
       else
         (* unknown at compile time: resolving at run time raises the
-           interpreter's error during phase 1 *)
+           reference evaluator's error during phase 1 *)
         (name, [||], `Eager (Ast.Base tbl_name))
     | Ast.Transition tt ->
       let base = Ast.trans_table_base tt in
@@ -845,7 +838,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
   in
   let items = List.mapi item_info s.Ast.from in
   (* duplicate binding names are rejected after phase-1 resolution,
-     matching the interpreter's check order *)
+     matching the reference evaluator's check order *)
   let dup_err =
     let names = List.map (fun (n, _, _) -> n) items in
     let rec check = function
@@ -862,7 +855,9 @@ and compile_plain ctx (s : Ast.select) : cselect =
   in
   let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) items in
   let inner = { ctx with cc_shape = frame_shape :: ctx.cc_shape } in
-  (* ---- static hash-join links (mirror of [from_row_envs]) ---- *)
+  (* ---- static hash-join links: a source is hash-joined to the first
+     equi-join conjunct of the WHERE clause (column = column) that
+     connects it to an earlier binding ---- *)
   let attribute qualifier column =
     let has_col (_, cols) = Array.exists (String.equal column) cols in
     match qualifier with
@@ -874,7 +869,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
       match List.filter has_col frame_shape with [ src ] -> Some src | _ -> None)
   in
   let equi_pairs =
-    if not !Eval.join_optimization then []
+    if not !Plan.join_optimization then []
     else
       match s.Ast.where with
       | None -> []
@@ -891,7 +886,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
                 Some (conj, (n1, cs1, c1), (n2, cs2, c2))
               | _ -> None)
             | _ -> None)
-          (Eval.conjuncts pred)
+          (Plan.conjuncts pred)
   in
   let index_of_name n =
     let rec go i = function
@@ -911,13 +906,13 @@ and compile_plain ctx (s : Ast.select) : cselect =
                 ( Option.get (index_of_name n1),
                   Option.get (col_index cs1 c1),
                   Option.get (col_index cols c2),
-                  { Eval.jp_with = n1; jp_conjunct = Pretty.expr_str conj } )
+                  { Plan.jp_with = n1; jp_conjunct = Pretty.expr_str conj } )
             else if String.equal n1 name && bound n2 then
               Some
                 ( Option.get (index_of_name n2),
                   Option.get (col_index cs2 c2),
                   Option.get (col_index cols c1),
-                  { Eval.jp_with = n2; jp_conjunct = Pretty.expr_str conj } )
+                  { Plan.jp_with = n2; jp_conjunct = Pretty.expr_str conj } )
             else None)
           equi_pairs)
       items
@@ -940,9 +935,9 @@ and compile_plain ctx (s : Ast.select) : cselect =
   let cprojs = compile_projections inner frame_shape s.Ast.projections in
   let sr_cols = static_proj_names cprojs in
   (* grouping with no GROUP BY key yields a single group even over zero
-     rows; the interpreter then evaluates HAVING and projections in an
-     environment whose local frame is empty — compile that variant
-     against the outer scopes alone *)
+     rows; HAVING and projections then evaluate in an environment whose
+     local frame is empty — compile that variant against the outer
+     scopes alone *)
   let empty_group =
     if grouped && s.Ast.group_by = [] then
       Some
@@ -960,8 +955,9 @@ and compile_plain ctx (s : Ast.select) : cselect =
       List.map (fun (e, dir) -> (cexpr_of sub e, dir)) s.Ast.order_by
     else []
   in
-  (* ---- output columns for the zero-row case: the runtime mirror of
-     [Eval.static_output_columns] ---- *)
+  (* ---- output columns for the zero-row case, derived from the
+     projection list and the source schemas as the reference evaluator
+     does ---- *)
   let empty_sources =
     List.map
       (fun (item : Ast.from_item) ->
@@ -1152,7 +1148,7 @@ and compile_plain ctx (s : Ast.select) : cselect =
     (* phase 2: join, realizing lazy sources by probe or scan *)
     let note_join ev name =
       match rt.rt_access with
-      | Some access -> access.Eval.acc_note ~table:name ev
+      | Some access -> access.Plan.acc_note ~table:name ev
       | None -> ()
     in
     let rec extend partials k rs ps ls ns =
@@ -1171,10 +1167,8 @@ and compile_plain ctx (s : Ast.select) : cselect =
           match l with
           | Some (b_item, b_ix, n_ix, _) when partials <> [] ->
             (* hash join on the static link, preserving nested-loop
-               enumeration order.  With no partial frames left the
-               interpreter's dynamic link detection never fires (no
-               bound row to join against), so the build is skipped —
-               the guard keeps the access-note counters identical. *)
+               enumeration order.  With no partial frames left there is
+               nothing to probe, so the build is skipped. *)
             note_join `Hash_join_build n;
             let table =
               List.fold_left
@@ -1234,13 +1228,13 @@ and compile_plain ctx (s : Ast.select) : cselect =
             let rel = c.cs_run rt outer in
             `Done
               ( name,
-                Eval.Materialized
+                Plan.Materialized
                   { source = "derived table"; rows = List.length rel.Eval.rows } )
           | `Eager (Ast.Transition tt as src) ->
             let rel = rt.rt_resolve src in
             `Done
               ( name,
-                Eval.Materialized
+                Plan.Materialized
                   {
                     source = "transition table " ^ Pretty.trans_table_str tt;
                     rows = List.length rel.Eval.rows;
@@ -1249,34 +1243,34 @@ and compile_plain ctx (s : Ast.select) : cselect =
             let rel = rt.rt_resolve src in
             `Done
               ( name,
-                Eval.Materialized
+                Plan.Materialized
                   { source = "table " ^ tbl; rows = List.length rel.Eval.rows } )
           | `Eager (Ast.Derived _) -> assert false
           | `Base tbl -> `Lazy (name, tbl))
         items
     in
     (match dup_err with Some e -> Errors.raise_error e | None -> ());
-    (* the static links double as the plan's join annotations; like the
-       interpreter's planner this reports the join the executor would
-       do (execution skips the build when an earlier source turned out
-       empty — the frame is already empty then) *)
+    (* the static links double as the plan's join annotations: this
+       reports the join the executor would do (execution skips the
+       build when an earlier source turned out empty — the frame is
+       already empty then) *)
     List.map2
       (fun (entry, probe) link ->
         let sp_join = Option.map (fun (_, _, _, jp) -> jp) link in
         match entry with
-        | `Done (name, path) -> { Eval.sp_binding = name; sp_path = path; sp_join }
+        | `Done (name, path) -> { Plan.sp_binding = name; sp_path = path; sp_join }
         | `Lazy (name, tbl) ->
           let path =
             match probe with
             | Some cp -> (
               match run_probe_values rt access cp outer with
-              | Some hit -> Eval.probed_path access ~table:tbl hit
+              | Some hit -> Plan.probed_path access ~table:tbl hit
               | None ->
-                Eval.Seq_scan { table = tbl; rows = access.Eval.acc_count ~table:tbl })
+                Plan.Seq_scan { table = tbl; rows = access.Plan.acc_count ~table:tbl })
             | None ->
-              Eval.Seq_scan { table = tbl; rows = access.Eval.acc_count ~table:tbl }
+              Plan.Seq_scan { table = tbl; rows = access.Plan.acc_count ~table:tbl }
           in
-          { Eval.sp_binding = name; sp_path = path; sp_join })
+          { Plan.sp_binding = name; sp_path = path; sp_join })
       (List.combine phase1 probes)
       links
   in
@@ -1317,8 +1311,8 @@ let run_predicate ?access ~use_cache ~db resolve p =
   Value.truth_holds (Eval.value_truth (p.cp_expr rt None [||]))
 
 let eval_select ?access ?params ?(use_cache = false) resolve db s =
-  (* same exception-safety injection site as [Eval.eval_select]: one
-     hit per public entry, subqueries recurse internally *)
+  (* exception-safety injection site: one hit per public entry,
+     subqueries recurse internally *)
   Fault.hit Fault.Query_eval;
   let ctx = make db in
   let cs = compile_select' ctx s in
@@ -1331,7 +1325,7 @@ let plan_select ~access resolve db s =
   let rt = make_rt ~access ~use_cache:false ~slots:!(ctx.cc_slots) ~db resolve in
   cs.cs_plan rt [||]
 
-let plan_op ~access resolve db (op : Ast.op) : Eval.source_plan list =
+let plan_op ~access resolve db (op : Ast.op) : Plan.source_plan list =
   match op with
   | Ast.Select_op s | Ast.Insert { source = `Select s; _ } ->
     plan_select ~access resolve db s
@@ -1354,8 +1348,8 @@ let plan_op ~access resolve db (op : Ast.op) : Eval.source_plan list =
       match cp with
       | Some cp -> (
         match run_probe_values rt access cp [||] with
-        | Some hit -> Eval.probed_path access ~table hit
-        | None -> Eval.Seq_scan { table; rows = access.Eval.acc_count ~table })
-      | None -> Eval.Seq_scan { table; rows = access.Eval.acc_count ~table }
+        | Some hit -> Plan.probed_path access ~table hit
+        | None -> Plan.Seq_scan { table; rows = access.Plan.acc_count ~table })
+      | None -> Plan.Seq_scan { table; rows = access.Plan.acc_count ~table }
     in
-    [ { Eval.sp_binding = table; sp_path = path; sp_join = None } ]
+    [ { Plan.sp_binding = table; sp_path = path; sp_join = None } ]

@@ -1,19 +1,23 @@
 (** Compilation of expressions, predicates and selects to positional
-    closures.
+    closures: the executor of every statement, rule condition and rule
+    action, and the only access-path planner.
 
-    The tree-walking evaluator ({!Eval}) resolves every column
-    reference by name for every candidate row.  This module performs
-    name resolution, ambiguity checking, correlation analysis and
+    The reference evaluator ({!Eval}) resolves every column reference
+    by name for every candidate row.  This module performs name
+    resolution, ambiguity checking, correlation analysis and
     sargable-conjunct selection ONCE per statement, producing closures
     in which a column reference is a (frame, binding, column) triple —
     per-row evaluation is then three array loads.  Compile-detected
     errors (unknown table/column, ambiguity, duplicate FROM names)
-    keep the interpreter's exact payloads and raise with the
-    interpreter's exact timing: a reference on a branch never taken
-    never surfaces its error.
+    keep the reference evaluator's exact payloads and raise with its
+    exact timing: a reference on a branch never taken never surfaces
+    its error.
 
-    The interpreter is retained as the differential oracle; the two
-    paths are asserted equivalent — results and error diagnostics — by
+    With {!Plan.access} hooks installed, base tables are realized
+    lazily: a sargable conjunct over an indexed column becomes an index
+    or range probe, and an equi-join conjunct a hash join.  The
+    planner-free {!Eval} is the differential oracle; the two are
+    asserted equivalent — results and error diagnostics — by
     test/test_compile_diff.ml.
 
     A compiled form is valid only for the catalog it was compiled
@@ -23,27 +27,21 @@
 
 open Relational
 
-val enabled : bool ref
-(** Route DML execution and rule processing through the compiled path
-    (true, the default) or the interpreter.  Exists for the
-    differential oracle and the ablation benchmark. *)
-
 (** {2 Runtime} *)
 
 type renv = Row.t array array
-(** Positional mirror of {!Eval.env}: scopes innermost first, each
+(** Positional counterpart of {!Eval.env}: scopes innermost first, each
     frame the bound rows of one select's FROM items, in FROM order.
     Binding and column names were consumed at compile time. *)
 
 type rt
 (** Per-evaluation-unit runtime state: resolver, optional access-path
-    hooks, and the memo slots backing uncorrelated-subquery caching.
-    Same lifetime discipline as {!Eval.cache}: one [rt] per DML
-    operation or rule-condition evaluation, never reused across
-    database states. *)
+    hooks, and the memo slots backing uncorrelated-subquery caching:
+    one [rt] per DML operation or rule-condition evaluation, never
+    reused across database states. *)
 
 val make_rt :
-  ?access:Eval.access ->
+  ?access:Plan.access ->
   ?params:Value.t array ->
   use_cache:bool ->
   slots:int ->
@@ -53,8 +51,7 @@ val make_rt :
 (** [db] is the database the resolver serves base tables from; a
     select over a lone base table folds that table's stored value
     directly.  [slots] must be at least the compile unit's {!slot_count};
-    [use_cache:false] disables subquery memoization (mirroring
-    interpreter evaluation without a cache).  [params] is the EXECUTE
+    [use_cache:false] disables subquery memoization.  [params] is the EXECUTE
     parameter frame read by compiled [Param] closures (default
     empty). *)
 
@@ -93,7 +90,7 @@ type cpred = { cp_expr : cexpr; cp_nslots : int }
 val compile_predicate : Database.t -> Ast.expr -> cpred
 
 val run_predicate :
-  ?access:Eval.access ->
+  ?access:Plan.access ->
   use_cache:bool ->
   db:Database.t ->
   Eval.resolver ->
@@ -125,23 +122,22 @@ val select_cols : cselect -> string array
 (** Static output column names (of the non-empty result path). *)
 
 val eval_select :
-  ?access:Eval.access ->
+  ?access:Plan.access ->
   ?params:Value.t array ->
   ?use_cache:bool ->
   Eval.resolver ->
   Database.t ->
   Ast.select ->
   Eval.relation
-(** Compile-and-run counterpart of {!Eval.eval_select}: hits the
-    [Query_eval] fault site once, then evaluates.  [use_cache]
-    defaults to [false]. *)
+(** Compile and run a select: hits the [Query_eval] fault site once,
+    then evaluates.  [use_cache] defaults to [false]. *)
 
 (** {2 Victim probes (DML helper)} *)
 
 type cprobe
 (** The statically-selected sargable candidates for one base table's
-    victim selection, tried in conjunct order at run time with the
-    interpreter's fallback semantics. *)
+    victim selection, ranked by the cost model and tried at run time
+    with the scan as the final fallback. *)
 
 val compile_probe :
   ctx ->
@@ -153,7 +149,7 @@ val compile_probe :
 (** [None] when no conjunct is sargable (or pushdown is disabled at
     compile time): scan instead. *)
 
-val run_probe : rt -> Eval.access -> cprobe -> Eval.probe_hit option
+val run_probe : rt -> Plan.access -> cprobe -> Plan.probe_hit option
 (** Probe with outer scopes empty, candidates ranked by the shared cost
     model; [None] means every candidate fell through (value evaluation
     failed or no usable index): scan instead. *)
@@ -161,19 +157,24 @@ val run_probe : rt -> Eval.access -> cprobe -> Eval.probe_hit option
 (** {2 EXPLAIN} *)
 
 val plan_select :
-  access:Eval.access ->
+  access:Plan.access ->
   Eval.resolver ->
   Database.t ->
   Ast.select ->
-  Eval.source_plan list
-(** Compiled counterpart of {!Eval.plan_select}: the same decision
-    procedure the compiled executor runs, stopping short of realizing
-    the planned sources. *)
+  Plan.source_plan list
+(** One plan per FROM source of each select core (compound arms
+    included), in from-list order: the decision procedure the executor
+    runs, stopping short of realizing the planned sources.  Probing
+    evaluates the sargable conjunct's value side (possibly an
+    uncorrelated subquery), so planning reads — but never writes — the
+    database. *)
 
 val plan_op :
-  access:Eval.access ->
+  access:Plan.access ->
   Eval.resolver ->
   Database.t ->
   Ast.op ->
-  Eval.source_plan list
-(** Compiled counterpart of {!Eval.plan_op}. *)
+  Plan.source_plan list
+(** Plan any DML operation: selects and INSERT ... SELECT plan their
+    select; INSERT ... VALUES accesses no table; DELETE/UPDATE plan
+    their victim selection. *)

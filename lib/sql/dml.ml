@@ -42,119 +42,51 @@ let row_env tbl row =
     ];
   ]
 
-(* Victim selection: the rows of [tbl] satisfying [where], in handle
-   order.  With access-path hooks installed, a sargable conjunct over
-   an indexed column narrows the candidates by an index probe first;
-   the full predicate is still applied to each candidate, so the
-   victims are identical to the scan's. *)
-let selected_handles ?cache ?access resolve tbl where =
-  let keep row =
-    match where with
-    | None -> true
-    | Some pred ->
-      Eval.eval_predicate ?cache ?access resolve (row_env tbl row) pred
-  in
-  let scan () =
-    Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
-    |> List.rev
-  in
-  match access with
-  | None -> scan ()
-  | Some access -> (
-    let name = Table.name tbl in
-    let cols = Table.col_names tbl in
-    match
-      Eval.probe_table ?cache ~access resolve ~table:name ~bind_name:name ~cols
-        where
-    with
-    | Some hit ->
-      access.Eval.acc_note ~table:name
-        (match hit.Eval.ph_kind with
-        | `Eq -> `Index_probe
-        | `Range -> `Range_probe);
-      List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
-    | None ->
-      access.Eval.acc_note ~table:name `Seq_scan;
-      scan ())
-
-let exec_insert ?cache ?access resolve db table columns source =
-  let tbl = Database.table db table in
+(* Place an INSERT's values into a row of [tbl]: positionally, or —
+   with an explicit column list — scattered into schema positions,
+   unspecified columns getting their default or NULL. *)
+let position_row tbl columns values =
   let schema = Table.schema tbl in
-  let position_row values =
-    (* With an explicit column list, scatter values into schema
-       positions; unspecified columns get their default or NULL. *)
-    match columns with
-    | None ->
-      if List.length values <> Schema.arity schema then
-        Errors.raise_error
-          (Errors.Arity_error
-             {
-               table;
-               expected = Schema.arity schema;
-               got = List.length values;
-             });
-      Array.of_list values
-    | Some cols ->
-      if List.length cols <> List.length values then
-        Errors.semantic "column list and value list have different lengths";
-      let row =
-        Array.map
-          (fun c -> match c.Schema.default with Some v -> v | None -> Value.Null)
-          schema.Schema.columns
-      in
-      List.iter2
-        (fun col v -> row.(Schema.column_index schema col) <- v)
-        cols values;
-      row
-  in
-  let rows =
-    match source with
-    | `Values exprss ->
-      List.map
-        (fun exprs ->
-          position_row
-            (List.map (Eval.eval_expr_in ?cache ?access resolve []) exprs))
-        exprss
-    | `Select s ->
-      let rel = Eval.eval_select ?cache ?access resolve s in
-      List.map (fun row -> position_row (Array.to_list row)) rel.Eval.rows
-  in
+  match columns with
+  | None ->
+    if List.length values <> Schema.arity schema then
+      Errors.raise_error
+        (Errors.Arity_error
+           {
+             table = Table.name tbl;
+             expected = Schema.arity schema;
+             got = List.length values;
+           });
+    Array.of_list values
+  | Some cols ->
+    if List.length cols <> List.length values then
+      Errors.semantic "column list and value list have different lengths";
+    let row =
+      Array.map
+        (fun c -> match c.Schema.default with Some v -> v | None -> Value.Null)
+        schema.Schema.columns
+    in
+    List.iter2 (fun col v -> row.(Schema.column_index schema col) <- v) cols values;
+    row
+
+(* Apply an operation's identified changes.  Each operation first
+   identifies its tuples against the state at its start, then changes
+   them. *)
+let inserted db tbl rows =
   let db, handles =
     List.fold_left
       (fun (db, hs) row ->
-        let db, h = Database.insert db table row in
+        let db, h = Database.insert db (Table.name tbl) row in
         (db, h :: hs))
       (db, []) rows
   in
   { db; affected = A_insert (List.rev handles); result = None }
 
-let exec_delete ?cache ?access resolve db table where =
-  let tbl = Database.table db table in
-  let victims = selected_handles ?cache ?access resolve tbl where in
-  let db =
-    List.fold_left (fun db (h, _) -> Database.delete db h) db victims
-  in
+let deleted db victims =
+  let db = List.fold_left (fun db (h, _) -> Database.delete db h) db victims in
   { db; affected = A_delete victims; result = None }
 
-let exec_update ?cache ?access resolve db table sets where =
-  let tbl = Database.table db table in
-  let schema = Table.schema tbl in
-  let set_cols = List.map fst sets in
-  List.iter (fun c -> ignore (Schema.column_index schema c)) set_cols;
-  let victims = selected_handles ?cache ?access resolve tbl where in
-  let updates =
-    List.map
-      (fun (h, old_row) ->
-        let env = row_env tbl old_row in
-        let new_row = Array.copy old_row in
-        List.iter
-          (fun (col, e) ->
-            new_row.(Schema.column_index schema col) <-
-              Eval.eval_expr_in ?cache ?access resolve env e)
-          sets;
-        (h, old_row, new_row))
-      victims
-  in
+let updated db set_cols updates =
   let db =
     List.fold_left (fun db (h, _, new_row) -> Database.update db h new_row) db
       updates
@@ -164,6 +96,63 @@ let exec_update ?cache ?access resolve db table sets where =
     affected = A_update (List.map (fun (h, old, _) -> (h, set_cols, old)) updates);
     result = None;
   }
+
+(* ------------------------------------------------------------------ *)
+(* The reference path: an operation run by the planner-free reference
+   evaluator, victims found by a full scan.  The compiled path below is
+   the executor; this one runs the reference engine of the differential
+   tests and the operations the compiler cannot resolve against the
+   catalog, reproducing the reference evaluator's error exactly. *)
+
+let exec_insert resolve db table columns source =
+  let tbl = Database.table db table in
+  let rows =
+    match source with
+    | `Values exprss ->
+      List.map
+        (fun exprs ->
+          position_row tbl columns (List.map (Eval.eval_expr_in resolve []) exprs))
+        exprss
+    | `Select s ->
+      let rel = Eval.eval_select resolve s in
+      List.map (fun row -> position_row tbl columns (Array.to_list row)) rel.Eval.rows
+  in
+  inserted db tbl rows
+
+(* Victim selection: the rows of [tbl] satisfying [where], in handle
+   order. *)
+let selected_handles resolve tbl where =
+  let keep row =
+    match where with
+    | None -> true
+    | Some pred -> Eval.eval_predicate resolve (row_env tbl row) pred
+  in
+  Table.fold (fun h row acc -> if keep row then (h, row) :: acc else acc) tbl []
+  |> List.rev
+
+let exec_delete resolve db table where =
+  deleted db (selected_handles resolve (Database.table db table) where)
+
+let exec_update resolve db table sets where =
+  let tbl = Database.table db table in
+  let schema = Table.schema tbl in
+  let set_cols = List.map fst sets in
+  List.iter (fun c -> ignore (Schema.column_index schema c)) set_cols;
+  let victims = selected_handles resolve tbl where in
+  let updates =
+    List.map
+      (fun (h, old_row) ->
+        let env = row_env tbl old_row in
+        let new_row = Array.copy old_row in
+        List.iter
+          (fun (col, e) ->
+            new_row.(Schema.column_index schema col) <-
+              Eval.eval_expr_in resolve env e)
+          sets;
+        (h, old_row, new_row))
+      victims
+  in
+  updated db set_cols updates
 
 (* Which columns of base table [name] a select references; used for the
    column granularity of the Section 5.1 read set.  Falls back to all
@@ -236,11 +225,11 @@ let referenced_columns (s : Ast.select) schema binding_name =
    table referenced in the top-level FROM (documented substitution —
    the paper leaves this granularity open).
 
-   This is the interpreted statement of the rule: it rescans the table
-   through the tree-walking evaluator, and a row whose predicate raises
+   This is the reference statement of the rule: it rescans the table
+   through the reference evaluator, and a row whose predicate raises
    counts as read.  The compiled path ([read_plan] below) computes the
-   same set from the compiled pass; this function serves the
-   interpreter and is the differential tests' oracle. *)
+   same set from the compiled pass; this function serves the reference
+   path and is the differential tests' oracle. *)
 let select_read_set resolve db (s : Ast.select) =
   let base_items =
     List.filter_map
@@ -291,18 +280,19 @@ let select_read_set resolve db (s : Ast.select) =
 (* ------------------------------------------------------------------ *)
 (* Compiled operations.
 
-   When [Compile.enabled] is set, an operation is lowered once — the
-   WHERE predicate, SET expressions and embedded selects become
-   positional closures, and the victim-selection probe decision is
-   made statically — and then run.  The rules engine caches the
-   compiled form of each rule's action block across firings (keyed on
-   a DDL generation counter), so cascades re-enter closures instead of
-   re-walking the AST.
+   An operation is lowered once — the WHERE predicate, SET expressions
+   and embedded selects become positional closures, and the
+   victim-selection probe decision is made statically — and then run.
+   The rules engine caches the compiled form of each rule's action
+   block across firings (keyed on a DDL generation counter), so
+   cascades re-enter closures instead of re-walking the AST.
 
    Compilation is total: an operation the compiler cannot resolve
    against the catalog (unknown victim table, unknown SET column)
-   compiles to a fallback that runs the interpreted body, reproducing
-   the interpreter's error at the interpreter's point of raising. *)
+   compiles to [C_fallback], which runs the reference path above and
+   so raises the reference evaluator's error at its point of raising.
+   A reference engine ([reference_op]) runs every operation that
+   way. *)
 
 type cop =
   | C_insert of {
@@ -454,7 +444,7 @@ let scan_read_set ?params resolve db tbl binding where =
 let compile_op db (op : Ast.op) : cop =
   match op with
   | Ast.Insert { table; columns; source } ->
-    (* the interpreter resolves the target table before evaluating the
+    (* the reference path resolves the target table before evaluating the
        source; compilation of the source needs no catalog knowledge
        (VALUES expressions see an empty environment), so the unknown-
        table error stays a run-time one *)
@@ -489,7 +479,7 @@ let compile_op db (op : Ast.op) : cop =
         not
           (List.for_all (fun (c, _) -> Schema.has_column schema c) sets)
       then
-        (* unknown SET column: the interpreted body raises the exact
+        (* unknown SET column: the reference path raises the exact
            error at the exact point (after resolving the table, before
            victim selection) *)
         C_fallback op
@@ -527,8 +517,10 @@ let compile_op db (op : Ast.op) : cop =
     let read = compile_read_plan db s in
     C_select { csel; read; nslots = Compile.slot_count ctx }
 
-(* Compiled victim selection: same shape as [selected_handles], with
-   the probe decision already made. *)
+(* Compiled victim selection: the rows of [tbl] whose compiled WHERE
+   holds, in handle order.  With access-path hooks installed, the
+   statically chosen probe narrows the candidates first; the full
+   predicate is still applied to each candidate. *)
 let selected_handles_c rt ?access tbl cwhere cprobe =
   let keep row =
     match cwhere with
@@ -549,13 +541,13 @@ let selected_handles_c rt ?access tbl cwhere cprobe =
       | Some cp -> Compile.run_probe rt access cp
     with
     | Some hit ->
-      access.Eval.acc_note ~table:name
-        (match hit.Eval.ph_kind with
+      access.Plan.acc_note ~table:name
+        (match hit.Plan.ph_kind with
         | `Eq -> `Index_probe
         | `Range -> `Range_probe);
-      List.filter (fun (_, row) -> keep row) hit.Eval.ph_pairs
+      List.filter (fun (_, row) -> keep row) hit.Plan.ph_pairs
     | None ->
-      access.Eval.acc_note ~table:name `Seq_scan;
+      access.Plan.acc_note ~table:name `Seq_scan;
       scan ())
 
 let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
@@ -564,83 +556,43 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
     Compile.make_rt ?access ?params ~use_cache:optimize ~slots:nslots ~db resolve
   in
   match cop with
-  | C_fallback op -> begin
-    (* the interpreter binds EXECUTE arguments by substitution, so a
-       parameterized operation that fell back still runs *)
+  | C_fallback op -> (
+    (* the reference evaluator binds EXECUTE arguments by substitution *)
     let op =
       match params with
       | None | Some [||] -> op
       | Some args -> Ast.subst_params_op args op
     in
-    let cache = if optimize then Some (Eval.make_cache ()) else None in
     match op with
     | Ast.Insert { table; columns; source } ->
-      exec_insert ?cache ?access resolve db table columns source
-    | Ast.Delete { table; where } ->
-      exec_delete ?cache ?access resolve db table where
-    | Ast.Update { table; sets; where } ->
-      exec_update ?cache ?access resolve db table sets where
-    | Ast.Select_op _ -> assert false (* selects always compile *)
-  end
+      exec_insert resolve db table columns source
+    | Ast.Delete { table; where } -> exec_delete resolve db table where
+    | Ast.Update { table; sets; where } -> exec_update resolve db table sets where
+    | Ast.Select_op s ->
+      let rel = Eval.eval_select resolve s in
+      let read = if track_selects then select_read_set resolve db s else [] in
+      { db; affected = A_select read; result = Some rel })
   | C_insert { table; columns; csource; nslots } ->
     let tbl = Database.table db table in
-    let schema = Table.schema tbl in
-    let position_row values =
-      match columns with
-      | None ->
-        if List.length values <> Schema.arity schema then
-          Errors.raise_error
-            (Errors.Arity_error
-               {
-                 table;
-                 expected = Schema.arity schema;
-                 got = List.length values;
-               });
-        Array.of_list values
-      | Some cols ->
-        if List.length cols <> List.length values then
-          Errors.semantic "column list and value list have different lengths";
-        let row =
-          Array.map
-            (fun c ->
-              match c.Schema.default with Some v -> v | None -> Value.Null)
-            schema.Schema.columns
-        in
-        List.iter2
-          (fun col v -> row.(Schema.column_index schema col) <- v)
-          cols values;
-        row
-    in
     let rt = rt nslots in
     let rows =
       match csource with
       | `Values cexprss ->
         List.map
           (fun cexprs ->
-            position_row
+            position_row tbl columns
               (List.map (fun ce -> Compile.eval_cexpr rt ce [||]) cexprs))
           cexprss
       | `Select cs ->
-        (* same fault site as the interpreter's embedded eval_select *)
+        (* same fault site as the reference path's embedded eval_select *)
         Fault.hit Fault.Query_eval;
         let rel = Compile.run_select rt cs in
-        List.map (fun row -> position_row (Array.to_list row)) rel.Eval.rows
+        List.map (fun row -> position_row tbl columns (Array.to_list row)) rel.Eval.rows
     in
-    let db, handles =
-      List.fold_left
-        (fun (db, hs) row ->
-          let db, h = Database.insert db table row in
-          (db, h :: hs))
-        (db, []) rows
-    in
-    { db; affected = A_insert (List.rev handles); result = None }
+    inserted db tbl rows
   | C_delete { table; cwhere; cprobe; nslots } ->
     let tbl = Database.table db table in
-    let victims = selected_handles_c (rt nslots) ?access tbl cwhere cprobe in
-    let db =
-      List.fold_left (fun db (h, _) -> Database.delete db h) db victims
-    in
-    { db; affected = A_delete victims; result = None }
+    deleted db (selected_handles_c (rt nslots) ?access tbl cwhere cprobe)
   | C_update { table; csets; set_cols; cwhere; cprobe; nslots } ->
     let tbl = Database.table db table in
     let rt = rt nslots in
@@ -656,16 +608,7 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
           (h, old_row, new_row))
         victims
     in
-    let db =
-      List.fold_left (fun db (h, _, new_row) -> Database.update db h new_row)
-        db updates
-    in
-    {
-      db;
-      affected =
-        A_update (List.map (fun (h, old, _) -> (h, set_cols, old)) updates);
-      result = None;
-    }
+    updated db set_cols updates
   | C_select { csel; read; nslots } ->
     Fault.hit Fault.Query_eval;
     let rt = rt nslots in
@@ -703,30 +646,14 @@ let run_cop ~track_selects ~optimize ?access ?params resolve db (cop : cop) :
 
 let exec_cop ?(track_selects = false) ?(optimize = true) ?access ?params
     resolve db cop : op_result =
-  Fault.hit Fault.Dml_op;
-  run_cop ~track_selects ~optimize ?access ?params resolve db cop
-
-let exec_op ?(track_selects = false) ?(optimize = true) ?access resolve db
-    (op : Ast.op) : op_result =
   (* exception-safety injection site: an operation may fail before
      touching the database, and the caller must treat the containing
      block as indivisible either way *)
   Fault.hit Fault.Dml_op;
-  if !Compile.enabled then
-    run_cop ~track_selects ~optimize ?access resolve db (compile_op db op)
-  else begin
-    (* one uncorrelated-subquery cache per operation: the database
-       state is fixed while the operation identifies its tuples *)
-    let cache = if optimize then Some (Eval.make_cache ()) else None in
-    match op with
-    | Ast.Insert { table; columns; source } ->
-      exec_insert ?cache ?access resolve db table columns source
-    | Ast.Delete { table; where } ->
-      exec_delete ?cache ?access resolve db table where
-    | Ast.Update { table; sets; where } ->
-      exec_update ?cache ?access resolve db table sets where
-    | Ast.Select_op s ->
-      let rel = Eval.eval_select ?cache ?access resolve s in
-      let read = if track_selects then select_read_set resolve db s else [] in
-      { db; affected = A_select read; result = Some rel }
-  end
+  run_cop ~track_selects ~optimize ?access ?params resolve db cop
+
+let exec_op ?track_selects ?optimize ?access resolve db (op : Ast.op) :
+    op_result =
+  exec_cop ?track_selects ?optimize ?access resolve db (compile_op db op)
+
+let reference_op op = C_fallback op

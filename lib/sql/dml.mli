@@ -32,25 +32,19 @@ type op_result = {
 val exec_op :
   ?track_selects:bool ->
   ?optimize:bool ->
-  ?access:Eval.access ->
+  ?access:Plan.access ->
   Eval.resolver ->
   Database.t ->
   Ast.op ->
   op_result
-(** Execute one operation.  [track_selects] (default [false]) computes
-    the Section 5.1 read set for select operations: precise (rows
-    satisfying the predicate) for single-table selects, conservative
-    (every row of each base table in the top-level FROM) otherwise.
-    [optimize] (default [true]) enables uncorrelated-subquery caching
-    for the operation.  [access] installs access-path hooks so
-    sargable predicates over indexed columns are satisfied by index
-    probes instead of scans.
-
-    When {!Compile.enabled} is set (the default) the operation's
-    expressions are lowered to positional closures and run; otherwise
-    the tree-walking interpreter executes it.  Results, affected sets
-    and error diagnostics are identical either way (asserted by the
-    differential test harness). *)
+(** Compile one operation ({!compile_op}) and run it ({!exec_cop}).
+    [track_selects] (default [false]) computes the Section 5.1 read
+    set for select operations: precise (rows satisfying the predicate)
+    for single-table selects, conservative (every row of each base
+    table in the top-level FROM) otherwise.  [optimize] (default
+    [true]) enables uncorrelated-subquery caching for the operation.
+    [access] installs access-path hooks so sargable predicates over
+    indexed columns are satisfied by index probes instead of scans. *)
 
 val select_read_set :
   Eval.resolver -> Database.t -> Ast.select -> (Handle.t * string list) list
@@ -59,9 +53,9 @@ val select_read_set :
     of that table whose WHERE — evaluated with only that table bound —
     holds or raises; otherwise every row of each top-level base table.
     Each handle is paired with the columns the select references.  The
-    interpreter computes read sets with it by rescanning the table; the
-    compiled path derives the same set from its own pass, and the
-    differential tests check the two against each other. *)
+    reference path computes read sets with it by rescanning the table
+    through {!Eval}; the compiled path derives the same set from its own
+    pass, and the differential tests check the two against each other. *)
 
 (** {2 Compiled operations}
 
@@ -75,13 +69,19 @@ type cop
 
 val compile_op : Database.t -> Ast.op -> cop
 (** Total: an operation the compiler cannot resolve against the
-    catalog compiles to a fallback that runs interpreted, reproducing
-    the interpreter's error exactly. *)
+    catalog compiles to a fallback that runs through the reference
+    evaluator, reproducing its error exactly. *)
+
+val reference_op : Ast.op -> cop
+(** The operation run through the planner-free reference evaluator
+    ({!Eval}) with victims found by full scans: the form a reference
+    engine caches in place of a compiled one.  Access hooks are not
+    consulted; EXECUTE parameters are substituted into the tree. *)
 
 val exec_cop :
   ?track_selects:bool ->
   ?optimize:bool ->
-  ?access:Eval.access ->
+  ?access:Plan.access ->
   ?params:Value.t array ->
   Eval.resolver ->
   Database.t ->
@@ -90,5 +90,5 @@ val exec_cop :
 (** Run a compiled operation against a (possibly different) database
     state with the same catalog.  Hits the same [Dml_op] fault site as
     {!exec_op}.  [params] is the EXECUTE parameter frame: compiled
-    [Param] closures read it positionally; the interpreter fallback
+    [Param] closures read it positionally; the reference form
     substitutes the values into the AST instead. *)

@@ -1,11 +1,19 @@
-(* Query evaluation.
+(* The reference evaluator: the plain set-oriented semantics of the
+   paper's Section 2, written down as directly as possible.
 
-   The evaluator works over [relation]s — named column lists plus rows —
-   rather than stored tables, so the same machinery evaluates base
-   tables, derived tables and the paper's transition tables.  A
-   [resolver] maps AST table sources to relations; the rules engine
-   supplies a resolver that also knows the triggering rule's transition
-   tables.
+   It works over [relation]s — named column lists plus rows — rather
+   than stored tables, so the same machinery evaluates base tables,
+   derived tables and the paper's transition tables.  A [resolver] maps
+   AST table sources to relations; the rules engine supplies a resolver
+   that also knows the triggering rule's transition tables.
+
+   Every FROM list is the nested-loop cross product of fully realized
+   sources, filtered by the WHERE clause row by row, and every embedded
+   select is re-evaluated wherever it occurs.  There are no indexes, no
+   hash joins, no cost model and no memoization: the compiling executor
+   ([Compile]) owns all of that, and this module shares none of its
+   planning code, so the differential tests that run both catch
+   planner bugs instead of reproducing them.
 
    SQL three-valued logic: predicates evaluate to [Value.Bool _] or
    [Value.Null] (unknown); a row is selected only when the predicate is
@@ -52,10 +60,8 @@ let binding_lookup b column =
 
 (* Resolve a column reference: search scopes innermost-first; within a
    scope a qualified reference must match a binding name, an
-   unqualified one must be unambiguous.  [watches] are correlation
-   watches (see the cache above): when a column resolves from one of
-   the outermost [len] scopes of a watch, its flag is raised. *)
-let lookup_column ?(watches = []) (env : env) qualifier column =
+   unqualified one must be unambiguous. *)
+let lookup_column (env : env) qualifier column =
   let in_frame frame =
     match qualifier with
     | Some q -> (
@@ -74,273 +80,13 @@ let lookup_column ?(watches = []) (env : env) qualifier column =
       | [ v ] -> Some v
       | _ :: _ :: _ -> Errors.raise_error (Errors.Ambiguous_column column))
   in
-  let total = List.length env in
-  let rec go i = function
+  let rec go = function
     | [] ->
       Errors.raise_error (Errors.Unknown_column { table = qualifier; column })
     | frame :: rest -> (
-      match in_frame frame with
-      | Some v ->
-        List.iter
-          (fun (suffix_len, flag) -> if i >= total - suffix_len then flag := true)
-          watches;
-        v
-      | None -> go (i + 1) rest)
+      match in_frame frame with Some v -> v | None -> go rest)
   in
-  go 0 env
-
-(* ------------------------------------------------------------------ *)
-(* Uncorrelated-subquery caching                                       *)
-
-(* Predicates are evaluated once per candidate row, so an embedded
-   select with no references to outer rows would be re-evaluated for
-   every row — quadratic blowup on the nested-IN patterns of the
-   paper's rules (e.g. Example 4.1).  A [cache] shared across the rows
-   of one operation memoizes such subqueries.
-
-   Correlation is detected dynamically: the first evaluation of a
-   subquery runs with a watch on the scopes enclosing it; if no column
-   resolves from an enclosing scope, the result cannot depend on the
-   outer row and is cached for the remaining rows.  The cache is only
-   sound while the database state is fixed, i.e. within the evaluation
-   of a single operation or rule condition — callers create one cache
-   per such unit. *)
-
-type cache_entry = Cached of relation | Correlated
-type cache = (Ast.select * cache_entry) list ref
-
-let make_cache () : cache = ref []
-
-(* Hash equi-joins in the from-list (see [from_row_envs]); mutable only
-   so the ablation benchmark can compare against pure nested loops. *)
-let join_optimization = ref true
-
-(* ------------------------------------------------------------------ *)
-(* Access paths                                                        *)
-
-(* Access-path hooks.  When a caller supplies them, base tables in a
-   from-list are realized lazily, giving the planner a chance to
-   satisfy a sargable equality/IN conjunct of the WHERE clause by an
-   index probe instead of a scan.  [acc_cols] names a base table's
-   columns without materializing its rows (None: unknown table, forcing
-   the eager path); [acc_probe] probes any index over the column (None:
-   no usable index); [acc_note] reports every scan-vs-probe decision
-   for EXPLAIN-style statistics. *)
-type access = {
-  acc_cols : table:string -> string array option;
-  acc_probe :
-    table:string ->
-    column:string ->
-    Value.t list ->
-    (Handle.t * Row.t) list option;
-  acc_range :
-    table:string ->
-    column:string ->
-    lower:(Value.t * bool) option ->
-    upper:(Value.t * bool) option ->
-    (Handle.t * Row.t) list option;
-  acc_note :
-    table:string ->
-    [ `Seq_scan | `Index_probe | `Range_probe | `Hash_join_build
-    | `Hash_join_probe ] ->
-    unit;
-  acc_index : table:string -> column:string -> string option;
-  acc_count : table:string -> int option;
-  acc_stats : table:string -> column:string -> (int * bool) option;
-}
-
-(* Equality-predicate pushdown into index probes; mutable only so the
-   differential harness and the ablation benchmark can compare against
-   pure scans. *)
-let predicate_pushdown = ref true
-
-(* Cost-based access-path selection.  When on, the planner ranks every
-   sargable conjunct — equality, IN, range comparison, BETWEEN,
-   prefix LIKE — by estimated enumerated rows from the maintained table
-   statistics and takes the cheapest.  When off, it degrades to the
-   historical first-equality-match rule (no range probes), which the
-   differential harnesses use as an oracle. *)
-let cost_model = ref true
-
-(* ------------------------------------------------------------------ *)
-(* Cost model                                                          *)
-
-(* The shape of a sargable conjunct, as much of it as is known without
-   evaluating the value side: the key count of an equality/IN probe
-   ([None] for IN (select ...)), a range, or a LIKE prefix range. *)
-type probe_shape = Shape_eq of int option | Shape_range | Shape_prefix
-
-(* Estimated rows a probe of [shape] over [column] would enumerate,
-   from the incrementally-maintained statistics: row count and
-   per-indexed-column distinct key count.  [None] = no usable index
-   (no index at all, or a range shape without an ordered index).
-   Selectivity of ranges is guessed at 1/3 (1/4 for prefixes) in the
-   System R tradition — no histograms are kept. *)
-let estimate_shape access ~table ~column shape =
-  match access.acc_stats ~table ~column with
-  | None -> None
-  | Some (distinct, ordered) -> (
-    let nrows = Option.value (access.acc_count ~table) ~default:0 in
-    match shape with
-    | Shape_eq k ->
-      let k = Option.value k ~default:2 in
-      Some (k * nrows / max 1 distinct)
-    | Shape_range -> if ordered then Some ((nrows + 2) / 3) else None
-    | Shape_prefix -> if ordered then Some ((nrows + 3) / 4) else None)
-
-(* The single decision procedure shared by the interpreting and
-   compiling evaluators (and hence by execution and EXPLAIN): given the
-   sargable candidates of a WHERE clause in conjunct order, return the
-   ones worth attempting, cheapest first, with their estimates.  The
-   caller tries them in order and falls back to the scan when none
-   probes successfully (no index after all, type-incompatible values,
-   value evaluation error).
-
-   With the cost model off this is the historical planner: equality
-   candidates only, in conjunct order, no estimates. *)
-let choose_candidates access ~table cands =
-  if not !cost_model then
-    List.filter_map
-      (fun (payload, _column, shape) ->
-        match shape with
-        | Shape_eq _ -> Some (payload, None)
-        | Shape_range | Shape_prefix -> None)
-      cands
-  else
-    let scan_cost = access.acc_count ~table in
-    List.filter_map
-      (fun (payload, column, shape) ->
-        match estimate_shape access ~table ~column shape with
-        | None -> None
-        | Some est -> (
-          (* a probe never enumerates more rows than the scan, but when
-             the estimate says it would not help, keep the plan honest
-             and scan *)
-          match scan_cost with
-          | Some n when est > n -> None
-          | Some _ | None -> Some ((payload, Some est), est)))
-      cands
-    |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
-    |> List.map fst
-
-(* A successful probe decision: which column and WHERE conjunct
-   satisfied it, by equality or range probe, the estimate that ranked
-   it ([None] under the legacy planner), and the rows it enumerates. *)
-type probe_hit = {
-  ph_column : string;
-  ph_conjunct : Ast.expr;
-  ph_kind : [ `Eq | `Range ];
-  ph_est : int option;
-  ph_pairs : (Handle.t * Row.t) list;
-}
-
-(* Split a predicate into its top-level AND conjuncts. *)
-let rec conjuncts e =
-  match e with Ast.And (a, b) -> conjuncts a @ conjuncts b | e -> [ e ]
-
-(* Conservative independence test used by the access-path planner: may
-   an expression reference a column of the frame being built — the
-   [target] sources of the FROM list under construction?  Probe values
-   must be evaluable once against the outer scopes alone, so only an
-   expression that provably cannot touch the target frame qualifies:
-   every column reference must resolve either inside a subquery's own
-   scopes (innermost-first, shadowing the target) or past the target in
-   the outer scopes.  Anything unknowable — derived or transition
-   sources whose columns we cannot name, possible ambiguity — answers
-   "maybe", rejecting the probe; the scan path then behaves exactly as
-   before.
-
-   [cols_of] names a base table's columns (for subquery FROM items);
-   inner frames track [(name option, cols option)] where [None] means
-   unknown.  A derived FROM item inside a subquery is walked against
-   the scopes *outside* that subquery, because that is the environment
-   it evaluates in. *)
-let independence ~(target : (string * string array) list)
-    ~(cols_of : string -> string array option) =
-  let target_has_name q = List.exists (fun (n, _) -> String.equal n q) target in
-  let target_has_col c =
-    List.exists (fun (_, cols) -> Array.exists (String.equal c) cols) target
-  in
-  let rec expr inners (e : Ast.expr) =
-    match e with
-    | Ast.Lit _ -> true
-    | Ast.Param _ -> true (* a bound parameter is a constant *)
-    | Ast.Col { qualifier = Some q; _ } ->
-      let resolves_inner =
-        List.exists
-          (List.exists (fun (n, _) ->
-               match n with Some n -> String.equal n q | None -> false))
-          inners
-      in
-      resolves_inner || not (target_has_name q)
-    | Ast.Col { qualifier = None; column = c } ->
-      let definitely_inner =
-        List.exists
-          (List.exists (fun (_, cols) ->
-               match cols with
-               | Some arr -> Array.exists (String.equal c) arr
-               | None -> false))
-          inners
-      in
-      (* a source with unknown columns might capture [c] — but it might
-         not, so we cannot rule out fall-through to the target *)
-      definitely_inner || not (target_has_col c)
-    | Ast.Binop (_, a, b)
-    | Ast.Cmp (_, a, b)
-    | Ast.And (a, b)
-    | Ast.Or (a, b)
-    | Ast.Like (a, b) -> expr inners a && expr inners b
-    | Ast.Neg a | Ast.Not a | Ast.Is_null a | Ast.Is_not_null a ->
-      expr inners a
-    | Ast.In_list (a, es) | Ast.Not_in_list (a, es) ->
-      expr inners a && List.for_all (expr inners) es
-    | Ast.In_select (a, s) | Ast.Not_in_select (a, s) ->
-      expr inners a && sel inners s
-    | Ast.Exists s | Ast.Scalar_select s -> sel inners s
-    | Ast.Between (a, b, c) -> expr inners a && expr inners b && expr inners c
-    | Ast.Agg (_, arg) -> Option.fold ~none:true ~some:(expr inners) arg
-    | Ast.Fn (_, args) -> List.for_all (expr inners) args
-    | Ast.Case (branches, else_) ->
-      List.for_all (fun (c, v) -> expr inners c && expr inners v) branches
-      && Option.fold ~none:true ~some:(expr inners) else_
-  and sel inners (s : Ast.select) =
-    (* derived FROM items evaluate against the scopes outside this
-       select, so they are walked with the enclosing stack *)
-    let derived_ok =
-      List.for_all
-        (fun item ->
-          match item.Ast.source with
-          | Ast.Derived sub -> sel inners sub
-          | Ast.Base _ | Ast.Transition _ -> true)
-        s.Ast.from
-    in
-    let frame =
-      List.map
-        (fun item ->
-          let name, cols =
-            match item.Ast.source with
-            | Ast.Base n -> (Some n, cols_of n)
-            | Ast.Transition _ | Ast.Derived _ -> (None, None)
-          in
-          match item.Ast.alias with
-          | Some a -> (Some a, cols)
-          | None -> (name, cols))
-        s.Ast.from
-    in
-    let inners' = frame :: inners in
-    derived_ok
-    && List.for_all
-         (function
-           | Ast.Star | Ast.Table_star _ -> true
-           | Ast.Proj (e, _) -> expr inners' e)
-         s.Ast.projections
-    && Option.fold ~none:true ~some:(expr inners') s.Ast.where
-    && List.for_all (expr inners') s.Ast.group_by
-    && Option.fold ~none:true ~some:(expr inners') s.Ast.having
-    && List.for_all (fun (e, _) -> expr inners' e) s.Ast.order_by
-    && List.for_all (fun (_, sub) -> sel inners sub) s.Ast.compounds
-  in
-  (expr [], sel [])
+  go env
 
 (* ------------------------------------------------------------------ *)
 (* Expression evaluation                                               *)
@@ -350,13 +96,6 @@ type context = {
   (* [Some envs]: we are inside a grouped evaluation and aggregate
      functions range over [envs]. *)
   group : env list option;
-  cache : cache option;
-  (* active correlation watches: [(suffix_len, flag)] means "set flag
-     if a column resolves from one of the outermost [suffix_len]
-     scopes" *)
-  watches : (int * bool ref) list;
-  (* access-path hooks; None evaluates every base table by scan *)
-  access : access option;
 }
 
 let truth_value = function
@@ -392,13 +131,14 @@ let rec eval_expr ctx (env : env) (e : Ast.expr) : Value.t =
   match e with
   | Ast.Lit v -> v
   | Ast.Param i ->
-    (* the interpreter runs EXECUTE by substituting argument literals
-       into the AST, so a surviving parameter is one that never bound *)
+    (* the reference evaluator runs EXECUTE by substituting argument
+       literals into the AST, so a surviving parameter is one that never
+       bound *)
     Errors.raise_error
       (Errors.Parameter_error
          (Printf.sprintf "parameter %d is unbound (use PREPARE/EXECUTE)" (i + 1)))
   | Ast.Col { qualifier; column } ->
-    lookup_column ~watches:ctx.watches env qualifier column
+    lookup_column env qualifier column
   | Ast.Binop (op, a, b) ->
     let va = eval_expr ctx env a and vb = eval_expr ctx env b in
     (match op with
@@ -451,7 +191,7 @@ let rec eval_expr ctx (env : env) (e : Ast.expr) : Value.t =
     truth_value
       (Value.truth_not (value_truth (in_semantics v (subquery_column ctx env s))))
   | Ast.Exists s ->
-    let rel = eval_subquery ctx env s in
+    let rel = eval_select_inner ctx env s in
     Value.Bool (rel.rows <> [])
   | Ast.Between (a, low, high) ->
     let v = eval_expr ctx env a in
@@ -469,7 +209,7 @@ let rec eval_expr ctx (env : env) (e : Ast.expr) : Value.t =
   | Ast.Like (a, p) ->
     truth_value (Value.like (eval_expr ctx env a) (eval_expr ctx env p))
   | Ast.Scalar_select s -> (
-    let rel = eval_subquery ctx env s in
+    let rel = eval_select_inner ctx env s in
     (match rel.cols with
     | [| _ |] -> ()
     | _ -> Errors.semantic "scalar subquery must return a single column");
@@ -500,24 +240,8 @@ and in_semantics v values =
   in
   truth_value result
 
-(* Evaluate an embedded select, consulting the uncorrelated-subquery
-   cache when one is active. *)
-and eval_subquery ctx env s =
-  match ctx.cache with
-  | None -> eval_select_inner ctx env s
-  | Some cache -> (
-    match List.find_opt (fun (s', _) -> s' == s) !cache with
-    | Some (_, Cached rel) -> rel
-    | Some (_, Correlated) -> eval_select_inner ctx env s
-    | None ->
-      let touched = ref false in
-      let watch = (List.length env, touched) in
-      let rel = eval_select_inner { ctx with watches = watch :: ctx.watches } env s in
-      cache := (s, (if !touched then Correlated else Cached rel)) :: !cache;
-      rel)
-
 and subquery_column ctx env s =
-  let rel = eval_subquery ctx env s in
+  let rel = eval_select_inner ctx env s in
   (match rel.cols with
   | [| _ |] -> ()
   | _ -> Errors.semantic "IN subquery must return a single column");
@@ -606,53 +330,25 @@ and default_proj_name e =
   | e -> Pretty.expr_str e
 
 (* Materialize the from-list as row environments, each extended with
-   the outer scopes.
-
-   Joining is nested-loop by default but, when the WHERE clause has an
-   equality conjunct between column references linking a new source to
-   an already-joined one, a hash join is used instead.  The hash join
-   preserves nested-loop enumeration order and the full WHERE predicate
-   is still applied afterwards, so results are identical.  The
-   [join_optimization] switch exists for the ablation benchmark.
-
-   When access-path hooks are installed, base tables are realized
-   lazily: a sargable conjunct over an indexed column turns the scan
-   into an index probe (see [probe_source]).  A probe returns the
-   matching rows in handle order — an order-preserving subsequence of
-   the scan — and the full WHERE predicate is still applied afterwards,
-   so results are again identical. *)
-and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
-    env list =
+   the outer scopes: the nested-loop cross product of the sources in
+   FROM order. *)
+and from_row_envs ctx (outer : env) (from : Ast.from_item list) : env list =
   let resolve_item ix item =
-    let named rel =
+    let rel =
+      match item.Ast.source with
+      | Ast.Derived s -> eval_select_inner ctx outer s
+      | (Ast.Base _ | Ast.Transition _) as src -> ctx.resolve src
+    in
+    let name =
       match item.Ast.alias with
       | Some a -> a
       | None -> if rel.rel_name = "" then Printf.sprintf "$%d" ix else rel.rel_name
     in
-    match item.Ast.source with
-    | Ast.Derived s ->
-      let rel = eval_select_inner ctx outer s in
-      (named rel, rel.cols, `Rows rel.rows)
-    | Ast.Base tbl_name -> (
-      let lazy_cols =
-        match ctx.access with
-        | None -> None
-        | Some access -> access.acc_cols ~table:tbl_name
-      in
-      match lazy_cols with
-      | Some cols ->
-        (Option.value item.Ast.alias ~default:tbl_name, cols, `Table tbl_name)
-      | None ->
-        let rel = ctx.resolve item.Ast.source in
-        (named rel, rel.cols, `Rows rel.rows))
-    | (Ast.Transition _) as src ->
-      let rel = ctx.resolve src in
-      (named rel, rel.cols, `Rows rel.rows)
+    (name, rel.cols, rel.rows)
   in
   let sources = List.mapi resolve_item from in
   (* duplicate binding names within one frame are rejected: unqualified
      references could silently pick the wrong one *)
-  let names = List.map (fun (n, _, _) -> n) sources in
   let rec check = function
     | [] -> ()
     | n :: rest ->
@@ -661,291 +357,18 @@ and from_row_envs ctx (outer : env) ?where (from : Ast.from_item list) :
           "duplicate table name %S in from clause; use an alias" n;
       check rest
   in
-  check names;
-  let frame_shape = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  (* attribute a column reference to exactly one local source *)
-  let attribute qualifier column =
-    let has_col (_, cols) = Array.exists (String.equal column) cols in
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun (n, _) -> String.equal n q) frame_shape with
-      | Some src when has_col src -> Some src
-      | _ -> None)
-    | None -> (
-      match List.filter has_col frame_shape with [ src ] -> Some src | _ -> None)
-  in
-  let equi_pairs =
-    if not !join_optimization then []
-    else
-      match where with
-      | None -> []
-      | Some pred ->
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Ast.Cmp
-                ( Ast.Eq,
-                  Ast.Col { qualifier = q1; column = c1 },
-                  Ast.Col { qualifier = q2; column = c2 } ) -> (
-              match attribute q1 c1, attribute q2 c2 with
-              | Some (n1, cs1), Some (n2, cs2) when not (String.equal n1 n2) ->
-                Some ((n1, cs1, c1), (n2, cs2, c2))
-              | _ -> None)
-            | _ -> None)
-          (conjuncts pred)
-  in
-  let col_index cols c =
-    let rec go i =
-      if i >= Array.length cols then None
-      else if String.equal cols.(i) c then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let module Key_map = Map.Make (struct
-    type t = Value.t
-
-    let compare = Value.compare_total
-  end) in
-  (* realize a lazily-bound base table: by index (or range) probe when
-     a sargable conjunct allows it, by scan otherwise *)
-  let realize bind_name tbl_name =
-    let access =
-      match ctx.access with Some a -> a | None -> assert false
-    in
-    match
-      probe_plan ctx outer ~frame:frame_shape ~target_name:bind_name
-        ~table:tbl_name where
-    with
-    | Some hit ->
-      access.acc_note ~table:tbl_name
-        (match hit.ph_kind with `Eq -> `Index_probe | `Range -> `Range_probe);
-      List.map snd hit.ph_pairs
-    | None ->
-      access.acc_note ~table:tbl_name `Seq_scan;
-      (ctx.resolve (Ast.Base tbl_name)).rows
-  in
-  let note_join ev name =
-    match ctx.access with
-    | Some access -> access.acc_note ~table:name ev
-    | None -> ()
-  in
+  check (List.map (fun (n, _, _) -> n) sources);
   (* partial frames are built in reverse binding order *)
-  let extend partials (name, cols, kind) =
-    let rows =
-      match kind with
-      | `Rows rows -> rows
-      | `Table tbl_name -> realize name tbl_name
-    in
-    let already_bound n =
-      match partials with
-      | [] -> false
-      | partial :: _ -> List.exists (fun b -> String.equal b.bind_name n) partial
-    in
-    let link =
-      List.find_map
-        (fun ((n1, cs1, c1), (n2, cs2, c2)) ->
-          if String.equal n2 name && already_bound n1 then
-            Some ((n1, cs1, c1), c2)
-          else if String.equal n1 name && already_bound n2 then
-            Some ((n2, cs2, c2), c1)
-          else None)
-        equi_pairs
-    in
-    match link with
-    | Some ((bound_name, bound_cols, bound_col), new_col) ->
-      let new_ix = Option.get (col_index cols new_col) in
-      let bound_ix = Option.get (col_index bound_cols bound_col) in
-      (* hash the new source's rows by join key, preserving row order
-         within each bucket *)
-      note_join `Hash_join_build name;
-      let table =
-        List.fold_left
-          (fun m row ->
-            let key = row.(new_ix) in
-            let existing = Option.value (Key_map.find_opt key m) ~default:[] in
-            Key_map.add key (row :: existing) m)
-          Key_map.empty rows
-      in
-      let table = Key_map.map List.rev table in
-      List.concat_map
-        (fun partial ->
-          note_join `Hash_join_probe name;
-          let bound_binding =
-            List.find (fun b -> String.equal b.bind_name bound_name) partial
-          in
-          let key = bound_binding.bind_row.(bound_ix) in
-          match Key_map.find_opt key table with
-          | None -> []
-          | Some rows ->
-            List.map
-              (fun row ->
-                { bind_name = name; bind_cols = cols; bind_row = row }
-                :: partial)
-              rows)
-        partials
-    | None ->
-      List.concat_map
-        (fun partial ->
-          List.map
-            (fun row ->
-              { bind_name = name; bind_cols = cols; bind_row = row }
-              :: partial)
-            rows)
-        partials
+  let extend partials (name, cols, rows) =
+    List.concat_map
+      (fun partial ->
+        List.map
+          (fun row -> { bind_name = name; bind_cols = cols; bind_row = row } :: partial)
+          rows)
+      partials
   in
   let frames = List.fold_left extend [ [] ] sources in
   List.map (fun frame -> List.rev frame :: outer) frames
-
-(* The access-path planner: try to satisfy one FROM source by an index
-   probe instead of a scan.  Scans the WHERE conjuncts for sargable
-   patterns — [col = e], [e = col], [col IN (e, ...)],
-   [col IN (select ...)], the range comparisons [col < e] / [col <= e]
-   / [col > e] / [col >= e] (and mirrored), [col BETWEEN a AND b] and
-   [col LIKE 'prefix%...'] — whose column attributes uniquely to the
-   target source and whose other side provably cannot reference the
-   frame being built (see [independence]).  [choose_candidates] ranks
-   the candidates by estimated cost (or keeps the legacy
-   first-equality-match order with the cost model off); probe values
-   are then evaluated once against the outer scopes, and any
-   evaluation error or unusable index falls back to the next candidate
-   and finally the scan, which either reports the same error while
-   filtering or — e.g. over an empty table — never evaluates the
-   faulty expression, exactly matching unoptimized behaviour.  NULL
-   probe values and range bounds match nothing, as SQL comparison
-   semantics require. *)
-and probe_plan ctx (outer : env) ~frame ~target_name ~table
-    (where : Ast.expr option) : probe_hit option =
-  match ctx.access, where with
-  | None, _ | _, None -> None
-  | Some access, Some pred ->
-    if not !predicate_pushdown then None
-    else begin
-      let ind_expr, ind_sel =
-        independence ~target:frame ~cols_of:(fun t -> access.acc_cols ~table:t)
-      in
-      let attributes_to_target qualifier column =
-        let has (_, cols) = Array.exists (String.equal column) cols in
-        match qualifier with
-        | Some q ->
-          String.equal q target_name
-          && (match List.find_opt (fun (n, _) -> String.equal n q) frame with
-             | Some src -> has src
-             | None -> false)
-        | None -> (
-          match List.filter has frame with
-          | [ (n, _) ] -> String.equal n target_name
-          | _ -> false)
-      in
-      let eval_ctx = { ctx with group = None } in
-      let range_of op e =
-        (* the column is on the left: [col op e] *)
-        match op with
-        | Ast.Lt -> Some (None, Some (e, false))
-        | Ast.Le -> Some (None, Some (e, true))
-        | Ast.Gt -> Some (Some (e, false), None)
-        | Ast.Ge -> Some (Some (e, true), None)
-        | Ast.Eq | Ast.Neq -> None
-      in
-      let mirror op =
-        match op with
-        | Ast.Lt -> Ast.Gt
-        | Ast.Le -> Ast.Ge
-        | Ast.Gt -> Ast.Lt
-        | Ast.Ge -> Ast.Le
-        | (Ast.Eq | Ast.Neq) as op -> op
-      in
-      let candidate conj =
-        match conj with
-        | Ast.Cmp (Ast.Eq, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (conj, column, Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.Cmp (Ast.Eq, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e ->
-          Some (conj, column, Shape_eq (Some 1), `Exprs [ e ])
-        | Ast.In_list (Ast.Col { qualifier; column }, es)
-          when attributes_to_target qualifier column && List.for_all ind_expr es
-          ->
-          Some (conj, column, Shape_eq (Some (List.length es)), `Exprs es)
-        | Ast.In_select (Ast.Col { qualifier; column }, sub)
-          when attributes_to_target qualifier column && ind_sel sub ->
-          Some (conj, column, Shape_eq None, `Select sub)
-        | Ast.Cmp (op, Ast.Col { qualifier; column }, e)
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of op e with
-          | Some bounds -> Some (conj, column, Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Cmp (op, e, Ast.Col { qualifier; column })
-          when attributes_to_target qualifier column && ind_expr e -> (
-          match range_of (mirror op) e with
-          | Some bounds -> Some (conj, column, Shape_range, `Bounds bounds)
-          | None -> None)
-        | Ast.Between (Ast.Col { qualifier; column }, lo, hi)
-          when attributes_to_target qualifier column && ind_expr lo
-               && ind_expr hi ->
-          Some
-            (conj, column, Shape_range, `Bounds (Some (lo, true), Some (hi, true)))
-        | Ast.Like (Ast.Col { qualifier; column }, p)
-          when attributes_to_target qualifier column && ind_expr p ->
-          Some (conj, column, Shape_prefix, `Like p)
-        | _ -> None
-      in
-      let attempt ((conj, column, src), est) =
-        let eval_bound =
-          Option.map (fun (e, incl) -> (eval_expr eval_ctx outer e, incl))
-        in
-        let probe () =
-          match src with
-          | `Exprs es ->
-            access.acc_probe ~table ~column
-              (List.map (eval_expr eval_ctx outer) es)
-          | `Select sub ->
-            access.acc_probe ~table ~column (subquery_column eval_ctx outer sub)
-          | `Bounds (lo, hi) ->
-            access.acc_range ~table ~column ~lower:(eval_bound lo)
-              ~upper:(eval_bound hi)
-          | `Like p -> (
-            match eval_expr eval_ctx outer p with
-            | Value.Null ->
-              (* LIKE NULL is UNKNOWN for every row: a NULL-bounded
-                 range probe selects exactly nothing *)
-              access.acc_range ~table ~column
-                ~lower:(Some (Value.Null, true))
-                ~upper:None
-            | Value.Str pat -> (
-              match Index.like_prefix pat with
-              | None -> None
-              | Some (prefix, upper) ->
-                access.acc_range ~table ~column
-                  ~lower:(Some (Value.Str prefix, true))
-                  ~upper:(Option.map (fun u -> (Value.Str u, false)) upper))
-            | Value.Int _ | Value.Float _ | Value.Bool _ ->
-              (* the scan path reports the type error faithfully *)
-              None)
-        in
-        match (try probe () with _ -> None) with
-        | None -> None
-        | Some pairs ->
-          let kind =
-            match src with
-            | `Exprs _ | `Select _ -> `Eq
-            | `Bounds _ | `Like _ -> `Range
-          in
-          Some
-            {
-              ph_column = column;
-              ph_conjunct = conj;
-              ph_kind = kind;
-              ph_est = est;
-              ph_pairs = pairs;
-            }
-      in
-      List.filter_map candidate (conjuncts pred)
-      |> List.map (fun (conj, column, shape, src) ->
-             ((conj, column, src), column, shape))
-      |> choose_candidates access ~table
-      |> List.find_map attempt
-    end
 
 and project_columns ctx (frame_env : env) (projections : Ast.proj list) =
   (* Expand stars against the local frame of [frame_env]. *)
@@ -1056,7 +479,7 @@ and eval_compound ctx outer (s : Ast.select) : relation =
   { rel_name = ""; cols = head.cols; rows }
 
 and eval_select_plain ctx (outer : env) (s : Ast.select) : relation =
-  let row_envs = from_row_envs ctx outer ?where:s.Ast.where s.Ast.from in
+  let row_envs = from_row_envs ctx outer s.Ast.from in
   (* WHERE *)
   let where_ctx = { ctx with group = None } in
   let filtered =
@@ -1241,267 +664,17 @@ and static_output_columns ctx (s : Ast.select) =
 
 (* Public entry points *)
 
-let make_context ?cache ?access resolve =
-  { resolve; group = None; cache; watches = []; access }
+let make_context resolve = { resolve; group = None }
 
-let eval_select ?cache ?access ?(outer = empty_env) resolve s =
+let eval_select ?(outer = empty_env) resolve s =
   (* exception-safety injection site: only the public entry, so the hit
      count per operation stays bounded (subqueries recurse through
      [eval_select_inner] directly) *)
   Fault.hit Fault.Query_eval;
-  eval_select_inner (make_context ?cache ?access resolve) outer s
+  eval_select_inner (make_context resolve) outer s
 
-let eval_expr_in ?cache ?access ?(outer = empty_env) resolve env e =
-  eval_expr (make_context ?cache ?access resolve) (env @ outer) e
+let eval_expr_in ?(outer = empty_env) resolve env e =
+  eval_expr (make_context resolve) (env @ outer) e
 
-let eval_predicate ?cache ?access ?(outer = empty_env) resolve env e =
-  Value.truth_holds
-    (value_truth (eval_expr (make_context ?cache ?access resolve) (env @ outer) e))
-
-(* Entry point for the DML layer's victim selection: probe one base
-   table directly, using the same sargable detection, independence
-   analysis, cost ranking and fallback semantics as the FROM-list
-   planner. *)
-let probe_table ?cache ~access resolve ~table ~bind_name ~cols where =
-  probe_plan
-    { resolve; group = None; cache; watches = []; access = Some access }
-    empty_env
-    ~frame:[ (bind_name, cols) ]
-    ~target_name:bind_name ~table where
-
-(* ------------------------------------------------------------------ *)
-(* EXPLAIN: access-path planning without execution                     *)
-
-(* The planning functions below re-run exactly the decision procedure
-   [from_row_envs] and the DML victim selection use — the same
-   [probe_plan] call with the same frame, binding name and WHERE clause
-   — but stop short of realizing the planned sources or mutating
-   anything.  [matches] counts the handles the probe returned (the rows
-   the executor would enumerate before residual filtering); [rows] is
-   the table's current cardinality, i.e. what a scan would read.
-   Probing evaluates the sargable conjunct's value side (possibly an
-   uncorrelated subquery), so planning can read — but never write —
-   the database.  Plans cover the top-level FROM sources of each select
-   core and the victim table of DELETE/UPDATE; tables touched only
-   inside predicate subqueries are not enumerated. *)
-
-type access_path =
-  | Seq_scan of { table : string; rows : int option }
-  | Index_probe of {
-      table : string;
-      index : string option;
-      column : string;
-      conjunct : string;
-      est : int option;
-      matches : int;
-      rows : int option;
-    }
-  | Range_probe of {
-      table : string;
-      index : string option;
-      column : string;
-      conjunct : string;
-      est : int option;
-      matches : int;
-      rows : int option;
-    }
-  | Materialized of { source : string; rows : int }
-
-(* A source joined to an earlier FROM binding by a build/probe hash
-   join on an equi-join conjunct (one build per statement execution,
-   one probe per partial row of the frame under construction). *)
-type join_plan = { jp_with : string; jp_conjunct : string }
-
-type source_plan = {
-  sp_binding : string;
-  sp_path : access_path;
-  sp_join : join_plan option;
-}
-
-let probed_path access ~table hit =
-  let index = access.acc_index ~table ~column:hit.ph_column in
-  let column = hit.ph_column in
-  let conjunct = Pretty.expr_str hit.ph_conjunct in
-  let est = hit.ph_est in
-  let matches = List.length hit.ph_pairs in
-  let rows = access.acc_count ~table in
-  match hit.ph_kind with
-  | `Eq -> Index_probe { table; index; column; conjunct; est; matches; rows }
-  | `Range ->
-    Range_probe { table; index; column; conjunct; est; matches; rows }
-
-let plan_core ctx (outer : env) (s : Ast.select) : source_plan list =
-  let access =
-    match ctx.access with Some a -> a | None -> assert false
-  in
-  (* mirror of [from_row_envs]'s [resolve_item]: same binding names,
-     same lazy-vs-eager split *)
-  let resolve_item ix item =
-    let named rel =
-      match item.Ast.alias with
-      | Some a -> a
-      | None -> if rel.rel_name = "" then Printf.sprintf "$%d" ix else rel.rel_name
-    in
-    match item.Ast.source with
-    | Ast.Derived sub ->
-      let rel = eval_select_inner ctx outer sub in
-      (named rel, rel.cols, `Materialized ("derived table", List.length rel.rows))
-    | Ast.Base tbl_name -> (
-      match access.acc_cols ~table:tbl_name with
-      | Some cols ->
-        (Option.value item.Ast.alias ~default:tbl_name, cols, `Lazy tbl_name)
-      | None ->
-        (* unknown table: resolving raises the same error execution
-           would *)
-        let rel = ctx.resolve item.Ast.source in
-        (named rel, rel.cols, `Materialized ("table " ^ tbl_name, List.length rel.rows)))
-    | Ast.Transition tt as src ->
-      let rel = ctx.resolve src in
-      ( named rel,
-        rel.cols,
-        `Materialized
-          ("transition table " ^ Pretty.trans_table_str tt, List.length rel.rows) )
-  in
-  let sources = List.mapi resolve_item s.Ast.from in
-  let names = List.map (fun (n, _, _) -> n) sources in
-  let rec check = function
-    | [] -> ()
-    | n :: rest ->
-      if List.exists (String.equal n) rest then
-        Errors.semantic "duplicate table name %S in from clause; use an alias" n;
-      check rest
-  in
-  check names;
-  let frame = List.map (fun (n, cols, _) -> (n, cols)) sources in
-  (* mirror of [from_row_envs]'s equi-join link selection: a source is
-     hash-joined to the first equi-join conjunct connecting it to an
-     earlier binding.  (Execution skips the build when an earlier
-     source turned out empty — the frame is already empty then, so the
-     join never runs; the static plan reports the join it would do.) *)
-  let attribute qualifier column =
-    let has_col (_, cols) = Array.exists (String.equal column) cols in
-    match qualifier with
-    | Some q -> (
-      match List.find_opt (fun (n, _) -> String.equal n q) frame with
-      | Some src when has_col src -> Some src
-      | _ -> None)
-    | None -> (
-      match List.filter has_col frame with [ src ] -> Some src | _ -> None)
-  in
-  let equi_pairs =
-    if not !join_optimization then []
-    else
-      match s.Ast.where with
-      | None -> []
-      | Some pred ->
-        List.filter_map
-          (fun conj ->
-            match conj with
-            | Ast.Cmp
-                ( Ast.Eq,
-                  Ast.Col { qualifier = q1; column = c1 },
-                  Ast.Col { qualifier = q2; column = c2 } ) -> (
-              match attribute q1 c1, attribute q2 c2 with
-              | Some (n1, _), Some (n2, _) when not (String.equal n1 n2) ->
-                Some (conj, n1, n2)
-              | _ -> None)
-            | _ -> None)
-          (conjuncts pred)
-  in
-  let link_for prior name =
-    List.find_map
-      (fun (conj, n1, n2) ->
-        if String.equal n2 name && List.mem n1 prior then
-          Some { jp_with = n1; jp_conjunct = Pretty.expr_str conj }
-        else if String.equal n1 name && List.mem n2 prior then
-          Some { jp_with = n2; jp_conjunct = Pretty.expr_str conj }
-        else None)
-      equi_pairs
-  in
-  let _, plans =
-    List.fold_left
-      (fun (prior, acc) (name, _cols, kind) ->
-        let path =
-          match kind with
-          | `Materialized (what, n) -> Materialized { source = what; rows = n }
-          | `Lazy table -> (
-            match
-              probe_plan ctx outer ~frame ~target_name:name ~table s.Ast.where
-            with
-            | Some hit -> probed_path access ~table hit
-            | None -> Seq_scan { table; rows = access.acc_count ~table })
-        in
-        let sp_join = link_for prior name in
-        (name :: prior, { sp_binding = name; sp_path = path; sp_join } :: acc))
-      ([], []) sources
-  in
-  List.rev plans
-
-let plan_select_inner ctx outer (s : Ast.select) =
-  let cores = { s with Ast.compounds = [] } :: List.map snd s.Ast.compounds in
-  List.concat_map (plan_core ctx outer) cores
-
-let plan_select ?cache ~access resolve s =
-  plan_select_inner (make_context ?cache ~access resolve) empty_env s
-
-let plan_op ?cache ~access resolve (op : Ast.op) : source_plan list =
-  let ctx = make_context ?cache ~access resolve in
-  match op with
-  | Ast.Select_op s -> plan_select_inner ctx empty_env s
-  | Ast.Insert { source = `Select s; _ } -> plan_select_inner ctx empty_env s
-  | Ast.Insert { source = `Values _; _ } -> []
-  | Ast.Delete { table; where } | Ast.Update { table; where; _ } ->
-    (* mirror of the DML layer's victim selection (see
-       [Dml.selected_handles]): the table is bound under its own name *)
-    let cols =
-      match access.acc_cols ~table with
-      | Some cols -> cols
-      | None -> (ctx.resolve (Ast.Base table)).cols
-    in
-    let path =
-      match
-        probe_plan ctx empty_env
-          ~frame:[ (table, cols) ]
-          ~target_name:table ~table where
-      with
-      | Some hit -> probed_path access ~table hit
-      | None -> Seq_scan { table; rows = access.acc_count ~table }
-    in
-    [ { sp_binding = table; sp_path = path; sp_join = None } ]
-
-let describe_probe what (index, column, conjunct, est, matches, rows) =
-  let ix = match index with Some i -> i | None -> "<unnamed index>" in
-  let est_s =
-    match est with None -> "" | Some e -> Printf.sprintf "est ~%d, " e
-  in
-  let total =
-    match rows with Some n -> Printf.sprintf " of %d" n | None -> ""
-  in
-  Printf.sprintf "%s via %s on %s, conjunct %s: %s%d%s rows" what ix column
-    conjunct est_s matches total
-
-let describe_access_path = function
-  | Seq_scan { table; rows } ->
-    let r =
-      match rows with Some n -> Printf.sprintf " (%d rows)" n | None -> ""
-    in
-    Printf.sprintf "seq scan of %s%s" table r
-  | Index_probe { table; index; column; conjunct; est; matches; rows } ->
-    describe_probe
-      (Printf.sprintf "index probe of %s" table)
-      (index, column, conjunct, est, matches, rows)
-  | Range_probe { table; index; column; conjunct; est; matches; rows } ->
-    describe_probe
-      (Printf.sprintf "range probe of %s" table)
-      (index, column, conjunct, est, matches, rows)
-  | Materialized { source; rows } ->
-    Printf.sprintf "materialized %s (%d rows)" source rows
-
-let describe_source_plan { sp_binding; sp_path; sp_join } =
-  let join =
-    match sp_join with
-    | None -> ""
-    | Some { jp_with; jp_conjunct } ->
-      Printf.sprintf ", hash join with %s on %s" jp_with jp_conjunct
-  in
-  Printf.sprintf "%s: %s%s" sp_binding (describe_access_path sp_path) join
+let eval_predicate ?(outer = empty_env) resolve env e =
+  Value.truth_holds (value_truth (eval_expr (make_context resolve) (env @ outer) e))

@@ -6,18 +6,13 @@
 open Core
 module Durable = Durability.Durable
 module Recovery = Durability.Recovery
-module Compile = Sqlf.Compile
-
 exception Check_failed of string
 
 let failf fmt = Printf.ksprintf (fun m -> raise (Check_failed m)) fmt
 
-(* The compiled path is the process default; every interpreted-twin
-   operation restores it on any exit. *)
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
+(* The reference twin's configuration: the scenario's, run through the
+   planner-free reference evaluator. *)
+let reference_config sc = { sc.Scenario.sc_config with Engine.reference_eval = true }
 
 (* ------------------------------------------------------------------ *)
 (* Building blocks                                                     *)
@@ -178,16 +173,16 @@ let count_outcome rep = function
 let run_short ?(check_every = 4) sc profile =
   Profile.validate profile;
   let blocks = gen_blocks sc profile in
-  let primary = with_compile true (fun () -> build sc profile) in
-  let interp = with_compile false (fun () -> build sc profile) in
-  let scan = with_compile true (fun () -> build ~indexes:false sc profile) in
+  let primary = build sc profile in
+  let reference = build ~config:(reference_config sc) sc profile in
+  let scan = build ~indexes:false sc profile in
   let rep = ref (empty_report sc.Scenario.sc_name) in
   let compare_states context =
     let dp = state_digest sc primary in
-    let di = with_compile false (fun () -> state_digest sc interp) in
+    let dr = state_digest sc reference in
     let ds = state_digest sc scan in
-    if dp <> di then
-      failf "[%s] %s: interpreted twin diverged from compiled"
+    if dp <> dr then
+      failf "[%s] %s: reference twin diverged from compiled"
         sc.Scenario.sc_name context;
     if dp <> ds then
       failf "[%s] %s: scan twin diverged from probe" sc.Scenario.sc_name
@@ -196,10 +191,10 @@ let run_short ?(check_every = 4) sc profile =
   List.iteri
     (fun i block ->
       let context = Printf.sprintf "txn %d" (i + 1) in
-      let rp = with_compile true (fun () -> run_block primary block) in
-      let ri = with_compile false (fun () -> run_block interp block) in
-      let rs = with_compile true (fun () -> run_block scan block) in
-      check_same_result sc ~context ~label:"compiled vs interpreted" rp ri;
+      let rp = run_block primary block in
+      let rr = run_block reference block in
+      let rs = run_block scan block in
+      check_same_result sc ~context ~label:"compiled vs reference" rp rr;
       check_same_result sc ~context ~label:"probe vs scan" rp rs;
       rep := { !rep with r_txns = !rep.r_txns + 1 };
       count_outcome rep rp;
@@ -211,8 +206,7 @@ let run_short ?(check_every = 4) sc profile =
     blocks;
   compare_states "final";
   check_invariants sc ~context:"final (compiled)" primary;
-  with_compile false (fun () ->
-      check_invariants sc ~context:"final (interpreted)" interp);
+  check_invariants sc ~context:"final (reference)" reference;
   check_invariants sc ~context:"final (scan)" scan;
   rep := { !rep with r_checks = !rep.r_checks + (3 * n_invariants sc) };
   !rep
@@ -389,10 +383,10 @@ let rec rm_rf path =
 
 (* ------------------------------------------------------------------ *)
 (* Recovery differential: after every recovery the soak checks that    *)
-(* (a) a compiled restore reproduces the expected state, (b) an        *)
-(* interpreted restore agrees (the whole WAL replay runs through the   *)
-(* tree-walking evaluator), and (c) with every index dropped the scan  *)
-(* paths still see the same state and invariants.                      *)
+(* (a) a compiled restore reproduces the expected state, (b) a         *)
+(* reference restore agrees (the whole WAL replay runs through the     *)
+(* planner-free reference evaluator), and (c) with every index dropped *)
+(* the scan paths still see the same state and invariants.             *)
 
 let recovery_differential sc profile ~context ~expected dir =
   let config = sc.Scenario.sc_config in
@@ -404,12 +398,11 @@ let recovery_differential sc profile ~context ~expected dir =
       sc.Scenario.sc_name context
   | _ -> ());
   check_invariants sc ~context:(context ^ " (probe restore)") probe;
-  with_compile false (fun () ->
-      let interp, _ = Recovery.restore ~config dir in
-      if state_digest sc interp <> dp then
-        failf "[%s] %s: interpreted recovery diverged from compiled"
-          sc.Scenario.sc_name context;
-      check_invariants sc ~context:(context ^ " (interpreted restore)") interp);
+  let reference, _ = Recovery.restore ~config:(reference_config sc) dir in
+  if state_digest sc reference <> dp then
+    failf "[%s] %s: reference recovery diverged from compiled"
+      sc.Scenario.sc_name context;
+  check_invariants sc ~context:(context ^ " (reference restore)") reference;
   let scan, _ = Recovery.restore ~config dir in
   List.iter
     (fun ix -> ignore (System.exec_one scan ("drop index " ^ ix)))

@@ -1,10 +1,11 @@
-(* The compiled-vs-interpreted differential oracle.
+(* The compiled-vs-reference differential oracle.
 
    lib/sql/compile.ml lowers expressions, predicates and selects to
-   positional closures once per statement; the tree-walking evaluator
-   in lib/sql/eval.ml is retained as the oracle.  This suite asserts
-   the two paths are OBSERVABLY IDENTICAL — same results, same error
-   diagnostics (rendered through [Errors.to_string]), same
+   positional closures once per statement and is the only access-path
+   planner; the planner-free reference evaluator in lib/sql/eval.ml
+   (full scans, nested loops, no memoization) is the oracle.  This
+   suite asserts the two paths are OBSERVABLY IDENTICAL — same results,
+   same error diagnostics (rendered through [Errors.to_string]), same
    three-valued-logic collapse — across a qcheck corpus of randomized
    statements, then again end-to-end through the rules engine.
 
@@ -12,40 +13,37 @@
 
    - Part A: statement-level differential.  Random SELECTs (joins,
      grouping, compounds, derived tables, subqueries, ORDER BY
-     expressions) over a fixed database, evaluated by
-     [Eval.eval_select] and [Compile.eval_select] under both caching
-     modes.  The generator deliberately produces unknown columns,
-     ambiguous references, type errors and misused aggregates, so
-     error diagnostics are compared as often as results.
+     expressions) evaluated by [Eval.eval_select] and
+     [Compile.eval_select]: over an unindexed database under both
+     caching modes, and over the same data with hash and ordered
+     indexes, the compiled side planning through engine-style counting
+     access hooks (index probes, range probes, hash joins).  The
+     generator deliberately produces unknown columns, ambiguous
+     references, type errors and misused aggregates, so error
+     diagnostics are compared as often as results.
 
    - Part A2: rule-condition differential.  Random closed predicates
      evaluated by [Eval.eval_predicate] and
-     [Compile.compile_predicate]/[run_predicate].
+     [Compile.compile_predicate]/[run_predicate], over both inputs.
 
    - Part B: engine-level differential.  Two identical systems (the
      fault-injection harness's schema, rule set and external
      procedure) driven with the same random transaction workload, one
-     with [Compile.enabled] on and one with it off, asserting equal
+     compiled and one with [reference_eval] set, asserting equal
      per-transaction outcomes, select results, error strings, firing
      traces and final table contents.  Occasional CREATE/DROP INDEX
      between transactions exercises the DDL-generation invalidation
      of cached compiled rule forms.
 
    Non-vacuity is asserted at the end: the corpus must have produced
-   both successful evaluations and errors, and Part B must have fired
-   rules on both paths. *)
+   both successful evaluations and errors, the planned runs must have
+   taken index probes, range probes and hash joins, and Part B must
+   have fired rules on both paths. *)
 
 open Core
 open Helpers
 module Compile = Sqlf.Compile
 module Dml = Sqlf.Dml
-
-(* Every test that flips the evaluator must restore it on any exit:
-   the compiled path is the default for the rest of the suite. *)
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
 
 (* ------------------------------------------------------------------ *)
 (* Part A: statement-level differential                                *)
@@ -79,6 +77,48 @@ let fixture_db =
   let db = ins db "u" [| vi 2; vnull |] in
   let db = ins db "u" [| vi 4; vi 7 |] in
   db
+
+(* The same data with a hash index on t.a, an ordered index on t.b and
+   a hash index on u.a: the planned input of Parts A and A2. *)
+let indexed_db =
+  let db = fixture_db in
+  let db = Database.create_index db ~ix_name:"t_a" ~table:"t" ~column:"a" ~kind:`Hash in
+  let db = Database.create_index db ~ix_name:"t_b" ~table:"t" ~column:"b" ~kind:`Ordered in
+  Database.create_index db ~ix_name:"u_a" ~table:"u" ~column:"a" ~kind:`Hash
+
+(* Engine-style access hooks over [indexed_db] (the engine's
+   [access_for] over a fixed database), reporting every access decision
+   to [note]. *)
+let access_hooks ~note : Plan.access =
+  let db = indexed_db in
+  {
+    Plan.acc_cols =
+      (fun ~table ->
+        if Database.has_table db table then
+          Some (Table.col_names (Database.table db table))
+        else None);
+    acc_probe = (fun ~table ~column vs -> Database.probe db ~table ~column vs);
+    acc_range =
+      (fun ~table ~column ~lower ~upper ->
+        Database.range_probe db ~table ~column ~lower ~upper);
+    acc_note = (fun ~table:_ kind -> note kind);
+    acc_index =
+      (fun ~table ~column ->
+        List.find_map
+          (fun (t, ix) ->
+            if String.equal t table && String.equal (Index.column ix) column
+            then Some (Index.name ix)
+            else None)
+          (Database.indexes db));
+    acc_count =
+      (fun ~table ->
+        if Database.has_table db table then
+          Some (Table.cardinality (Database.table db table))
+        else None);
+    acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
+  }
+
+let access_counting notes = access_hooks ~note:(fun _ -> incr notes)
 
 (* Random expressions as SQL text (readable counterexamples; exactly
    what the front-end feeds both evaluators).  Terminals include
@@ -179,13 +219,15 @@ and gen_safe_pred cols depth st =
    grouping), HAVING, DISTINCT/LIMIT, compounds, derived tables,
    subqueries and ORDER BY expressions.  Aggregates in a non-grouped
    WHERE (shape 9) must produce the same misuse error on both paths.
-   Shapes 11+ are valid by construction. *)
+   Shapes 11-15 are valid by construction; shapes 16 and 17 put a range
+   or equi-join conjunct next to a random one, so the indexed input
+   plans range probes and hash joins. *)
 let gen_select st =
   let open QCheck.Gen in
   let e ?(d = 3) () = gen_expr d st in
   let t_cols = [ "a"; "b"; "t.a"; "t.b" ] in
   let join_cols = [ "t.a"; "t.b"; "u.a"; "u.c"; "b"; "c" ] in
-  match int_bound 15 st with
+  match int_bound 17 st with
   | 0 -> Printf.sprintf "select a, b, s from t where %s" (e ())
   | 1 -> Printf.sprintf "select t.a, u.c, %s from t, u where %s" (e ()) (e ())
   | 2 ->
@@ -224,9 +266,16 @@ let gen_select st =
     Printf.sprintf "select a from t where b in (select c from u where %s) \
                     order by a"
       (gen_safe_pred [ "a"; "c"; "u.a"; "u.c" ] 1 st)
-  | _ ->
+  | 15 ->
     Printf.sprintf "select distinct %s from t where %s order by 1 limit 3"
       (gen_safe_num t_cols 2 st) (gen_safe_pred t_cols 2 st)
+  | 16 ->
+    Printf.sprintf "select a, b, s from t where b %s %d and %s"
+      (oneofl [ "<"; "<="; ">"; ">=" ] st)
+      (int_range 0 25 st) (e ~d:2 ())
+  | _ ->
+    Printf.sprintf "select t.b, u.c from t, u where t.a = u.a and %s"
+      (e ~d:2 ())
 
 (* Observable behaviour of one evaluation: the relation, or the
    rendered diagnostic. *)
@@ -240,7 +289,7 @@ let check_observed sql a b =
   match a, b with
   | Error ea, Error eb ->
     if ea <> eb then
-      QCheck.Test.fail_reportf "%s@.interpreted error: %s@.compiled error: %s"
+      QCheck.Test.fail_reportf "%s@.reference error: %s@.compiled error: %s"
         sql ea eb
   | Ok (ca, ra), Ok (cb, rb) ->
     if ca <> cb then
@@ -252,11 +301,50 @@ let check_observed sql a b =
         (String.concat "\n" (List.map Row.to_string ra))
         (String.concat "\n" (List.map Row.to_string rb))
   | Ok _, Error eb ->
-    QCheck.Test.fail_reportf "%s@.interpreter succeeded, compiled errored: %s"
+    QCheck.Test.fail_reportf "%s@.reference succeeded, compiled errored: %s"
       sql eb
   | Error ea, Ok _ ->
-    QCheck.Test.fail_reportf "%s@.interpreter errored (%s), compiled succeeded"
+    QCheck.Test.fail_reportf "%s@.reference errored (%s), compiled succeeded"
       sql ea
+
+(* Access-path counters of the planned runs, for non-vacuity. *)
+let planned_index_probes = ref 0
+let planned_range_probes = ref 0
+let planned_hash_joins = ref 0
+let planned_exact = ref 0
+let planned_hidden_errors = ref 0
+
+(* Run [f] with counting access hooks; return its observation and
+   whether an access path skipped rows (an index or range probe, or a
+   hash join). *)
+let observe_planned observe f =
+  let skipped = ref false in
+  let note = function
+    | `Seq_scan | `Hash_join_probe -> ()
+    | `Index_probe ->
+      incr planned_index_probes;
+      skipped := true
+    | `Range_probe ->
+      incr planned_range_probes;
+      skipped := true
+    | `Hash_join_build ->
+      incr planned_hash_joins;
+      skipped := true
+  in
+  let r = observe (fun () -> f (access_hooks ~note)) in
+  (r, !skipped)
+
+(* A planned run against the reference.  A probe or a hash join skips
+   rows the WHERE clause would reject, and with them any error the
+   WHERE would raise there: where the reference raises, the planned run
+   may succeed or raise another diagnostic — but only when it took such
+   an access path.  Everything else must agree exactly. *)
+let check_planned check sql reference (planned, skipped) =
+  match reference, planned with
+  | Error _, _ when skipped && reference <> planned -> incr planned_hidden_errors
+  | _ ->
+    incr planned_exact;
+    check sql reference planned
 
 let select_differential =
   QCheck.Test.make ~count:600 ~name:"compiled select = interpreted select"
@@ -264,22 +352,26 @@ let select_differential =
     (fun sql ->
       let s = Parser.parse_select_string sql in
       let resolve = Eval.base_resolver fixture_db in
-      (* uncached pairing *)
-      check_observed sql
-        (observe (fun () -> Eval.eval_select resolve s))
+      let reference = observe (fun () -> Eval.eval_select resolve s) in
+      (* no access hooks: scans and nested loops, with and without
+         uncorrelated-subquery memoization *)
+      check_observed sql reference
         (observe (fun () -> Compile.eval_select resolve fixture_db s));
-      (* cached pairing: both sides memoize uncorrelated subqueries *)
-      check_observed sql
-        (observe (fun () ->
-             Eval.eval_select ~cache:(Eval.make_cache ()) resolve s))
+      check_observed sql reference
         (observe (fun () ->
              Compile.eval_select ~use_cache:true resolve fixture_db s));
+      (* the same data indexed, planned through access hooks *)
+      let resolve = Eval.base_resolver indexed_db in
+      check_planned check_observed sql
+        (observe (fun () -> Eval.eval_select resolve s))
+        (observe_planned observe (fun access ->
+             Compile.eval_select ~access ~use_cache:true resolve indexed_db s));
       true)
 
 (* ------------------------------------------------------------------ *)
 (* Part A1b: parameterized-statement differential.  The compiled path
    executes a prepared select by reading the EXECUTE frame through
-   [Param] closures; the interpreter oracle substitutes the bound
+   [Param] closures; the reference evaluator substitutes the bound
    constants into the tree and evaluates the resulting plain select.
    The two must agree on results AND diagnostics — including type
    errors a badly-typed binding provokes. *)
@@ -378,35 +470,38 @@ let observe_bool f =
   | (b : bool) -> Ok b
   | exception Errors.Error e -> Error (Errors.to_string e)
 
+let check_bool sql reference compiled =
+  match reference, compiled with
+  | Ok a, Ok b ->
+    if a <> b then
+      QCheck.Test.fail_reportf "%s@.reference %b, compiled %b" sql a b
+  | Error a, Error b ->
+    if a <> b then
+      QCheck.Test.fail_reportf "%s@.reference error: %s@.compiled error: %s" sql
+        a b
+  | Ok _, Error e ->
+    QCheck.Test.fail_reportf "%s@.reference succeeded, compiled errored: %s" sql
+      e
+  | Error e, Ok _ ->
+    QCheck.Test.fail_reportf "%s@.reference errored (%s), compiled succeeded"
+      sql e
+
 let predicate_differential =
   QCheck.Test.make ~count:300 ~name:"compiled condition = interpreted condition"
     (QCheck.make ~print:Fun.id (gen_predicate 2))
     (fun sql ->
       let e = Parser.parse_expr_string sql in
-      let resolve = Eval.base_resolver fixture_db in
-      let interp =
-        observe_bool (fun () ->
-            Eval.eval_predicate ~cache:(Eval.make_cache ()) resolve [] e)
+      let reference db =
+        observe_bool (fun () -> Eval.eval_predicate (Eval.base_resolver db) [] e)
       in
-      let compiled =
-        observe_bool (fun () ->
-            Compile.run_predicate ~use_cache:true ~db:fixture_db resolve
-              (Compile.compile_predicate fixture_db e))
+      let compiled ?access db =
+        Compile.run_predicate ?access ~use_cache:true ~db (Eval.base_resolver db)
+          (Compile.compile_predicate db e)
       in
-      (match interp, compiled with
-      | Ok a, Ok b ->
-        if a <> b then
-          QCheck.Test.fail_reportf "%s@.interpreted %b, compiled %b" sql a b
-      | Error a, Error b ->
-        if a <> b then
-          QCheck.Test.fail_reportf "%s@.interpreted error: %s@.compiled error: %s"
-            sql a b
-      | Ok _, Error e ->
-        QCheck.Test.fail_reportf "%s@.interpreter succeeded, compiled errored: %s"
-          sql e
-      | Error e, Ok _ ->
-        QCheck.Test.fail_reportf "%s@.interpreter errored (%s), compiled \
-                                  succeeded" sql e);
+      check_bool sql (reference fixture_db)
+        (observe_bool (fun () -> compiled fixture_db));
+      check_planned check_bool sql (reference indexed_db)
+        (observe_planned observe_bool (fun access -> compiled ~access indexed_db));
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -420,12 +515,6 @@ let predicate_differential =
    rows, and the targeted shapes put a conjunct that raises only on
    skipped rows next to a sargable one. *)
 
-let indexed_db =
-  let db = fixture_db in
-  let db = Database.create_index db ~ix_name:"t_a" ~table:"t" ~column:"a" ~kind:`Hash in
-  let db = Database.create_index db ~ix_name:"t_b" ~table:"t" ~column:"b" ~kind:`Ordered in
-  Database.create_index db ~ix_name:"u_a" ~table:"u" ~column:"a" ~kind:`Hash
-
 (* Rule-context resolution: [inserted t] holds the first two rows of
    [t]; base tables come from the database. *)
 let read_set_resolver () =
@@ -435,28 +524,6 @@ let read_set_resolver () =
   Rules.Transition_tables.resolver
     (Trans_info.init (Effect.of_inserted (List.map fst first_two)) indexed_db)
     indexed_db
-
-let access_counting notes : Eval.access =
-  let db = indexed_db in
-  {
-    Eval.acc_cols =
-      (fun ~table ->
-        if Database.has_table db table then
-          Some (Table.col_names (Database.table db table))
-        else None);
-    acc_probe = (fun ~table ~column vs -> Database.probe db ~table ~column vs);
-    acc_range =
-      (fun ~table ~column ~lower ~upper ->
-        Database.range_probe db ~table ~column ~lower ~upper);
-    acc_note = (fun ~table:_ _ -> incr notes);
-    acc_index = (fun ~table:_ ~column:_ -> None);
-    acc_count =
-      (fun ~table ->
-        if Database.has_table db table then
-          Some (Table.cardinality (Database.table db table))
-        else None);
-    acc_stats = (fun ~table ~column -> Database.column_stats db ~table ~column);
-  }
 
 (* Statements whose read set is interesting: lone-table selects with a
    sargable conjunct and a possibly-raising one (division, scalar
@@ -721,9 +788,9 @@ let check_same label a b =
         then QCheck.Test.fail_reportf "%s: rows differ" label)
       ra rb
   | Ok _, Error e ->
-    QCheck.Test.fail_reportf "%s: compiled ok, interpreted errored: %s" label e
+    QCheck.Test.fail_reportf "%s: compiled ok, reference errored: %s" label e
   | Error e, Ok _ ->
-    QCheck.Test.fail_reportf "%s: compiled errored (%s), interpreted ok" label e
+    QCheck.Test.fail_reportf "%s: compiled errored (%s), reference ok" label e
 
 let harness_tables = [ "t"; "u"; "log" ]
 
@@ -741,37 +808,41 @@ let firing_trace s =
     (Engine.trace (System.engine s))
 
 let engine_differential_once ~config steps =
-  let s_compiled = with_compile true (fun () -> make_system ~config ()) in
-  let s_interp = with_compile false (fun () -> make_system ~config ()) in
+  let s_compiled = make_system ~config () in
+  let s_reference =
+    make_system ~config:{ config with Engine.reference_eval = true } ()
+  in
   List.iter
     (fun step ->
       match step with
       | `Ddl sql ->
-        let rc = with_compile true (fun () -> run_ddl s_compiled sql) in
-        let ri = with_compile false (fun () -> run_ddl s_interp sql) in
-        (match rc, ri with
+        let rc = run_ddl s_compiled sql in
+        let rr = run_ddl s_reference sql in
+        (match rc, rr with
         | Ok (), Ok () | Error _, Error _ -> ()
         | _ -> QCheck.Test.fail_reportf "ddl outcome differs: %s" sql)
       | `Block sql ->
-        let rc = with_compile true (fun () -> run_block s_compiled sql) in
-        let ri = with_compile false (fun () -> run_block s_interp sql) in
-        check_same ("block: " ^ sql) rc ri;
-        let tc = firing_trace s_compiled and ti = firing_trace s_interp in
-        if tc <> ti then
+        let rc = run_block s_compiled sql in
+        let rr = run_block s_reference sql in
+        check_same ("block: " ^ sql) rc rr;
+        let tc = firing_trace s_compiled and tr = firing_trace s_reference in
+        if tc <> tr then
           QCheck.Test.fail_reportf "firing traces differ after: %s" sql)
     steps;
-  (* final states, read through the interpreter on both systems so the
-     comparison itself is independent of the compiled path *)
-  with_compile false (fun () ->
-      List.iter
-        (fun tbl ->
-          let q = Printf.sprintf "select * from %s" tbl in
-          let rc = rows s_compiled q and ri = rows s_interp q in
-          if not
-               (List.length rc = List.length ri
-               && List.for_all2 Row.equal rc ri)
-          then QCheck.Test.fail_reportf "final state of %s differs" tbl)
-        harness_tables)
+  (* final states, read through the reference evaluator on both systems
+     so the comparison itself is independent of the compiled path *)
+  let contents s tbl =
+    let db = Engine.database (System.engine s) in
+    (Eval.eval_select (Eval.base_resolver db)
+       (Parser.parse_select_string ("select * from " ^ tbl)))
+      .Eval.rows
+  in
+  List.iter
+    (fun tbl ->
+      let rc = contents s_compiled tbl and rr = contents s_reference tbl in
+      if not (List.length rc = List.length rr && List.for_all2 Row.equal rc rr)
+      then QCheck.Test.fail_reportf "final state of %s differs" tbl)
+    harness_tables
 
 let engine_differential =
   QCheck.Test.make ~count:40
@@ -788,6 +859,23 @@ let engine_differential =
 (* ------------------------------------------------------------------ *)
 (* Non-vacuity: the corpus must actually have exercised both success   *)
 (* and error paths, and the engine differential must have fired rules. *)
+
+let test_planner_not_vacuous () =
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s in planned runs (%d)" what n)
+        true (n > 5))
+    [
+      ("index probes", !planned_index_probes);
+      ("range probes", !planned_range_probes);
+      ("hash joins", !planned_hash_joins);
+    ];
+  (* the skipped-row allowance must stay the exception *)
+  Alcotest.(check bool)
+    (Printf.sprintf "planned runs compared exactly (%d; %d hid an error)"
+       !planned_exact !planned_hidden_errors)
+    true
+    (!planned_exact > 10 * !planned_hidden_errors)
 
 let test_corpus_not_vacuous () =
   Alcotest.(check bool)
@@ -810,6 +898,8 @@ let suite =
     qtest engine_differential;
     Alcotest.test_case "differential corpus is not vacuous" `Quick
       test_corpus_not_vacuous;
+    Alcotest.test_case "planned differential is not vacuous" `Quick
+      test_planner_not_vacuous;
     qtest read_set_differential;
     qtest read_set_param_differential;
     Alcotest.test_case "read-set differential is not vacuous" `Quick

@@ -323,6 +323,74 @@ let test_external_procedure_action () =
   Alcotest.(check int) "procedure saw both" 2 (List.length !observed);
   Alcotest.(check int) "block applied" 1 (int_cell s "select count(*) from log")
 
+(* A procedure's read runs on the compiled executor with the engine's
+   access hooks: an indexed equality read is one index probe in the
+   engine statistics, and it passes the [Query_eval] fault site. *)
+let test_procedure_read_probes_index () =
+  let s = counter_system () in
+  run s "create index c_n on c (n)";
+  run s "insert into c values (41), (42), (43)";
+  let seen = ref [] in
+  System.register_procedure s "lookup" (fun ctx ->
+      let rel =
+        ctx.Procedures.query
+          (Parser.parse_select_string "select n from c where n = 42")
+      in
+      seen := rel.Eval.rows;
+      []);
+  run s "create rule r when inserted into log then call lookup";
+  let st = Engine.stats (System.engine s) in
+  let probes0 = st.Engine.index_probes and scans0 = st.Engine.seq_scans in
+  let query_evals =
+    Fun.protect ~finally:Fault.reset (fun () ->
+        Fault.enable true;
+        let q0 = Fault.site_count Fault.Query_eval in
+        run s "insert into log values ('x', 0)";
+        Fault.site_count Fault.Query_eval - q0)
+  in
+  Alcotest.check rows_testable "procedure read the row" [ [| Value.Int 42 |] ]
+    !seen;
+  Alcotest.(check int) "one index probe" 1 (st.Engine.index_probes - probes0);
+  Alcotest.(check int) "no scan" 0 (st.Engine.seq_scans - scans0);
+  Alcotest.(check int) "query-eval site hit once" 1 query_evals
+
+(* The reference engine shares no planning with the compiled one: with
+   indexes in place its statements, rule conditions and actions take no
+   probe and no hash join, and it still computes the same database. *)
+let test_reference_engine_never_plans () =
+  let script =
+    "create table c (n int);\n\
+     create table log (msg string, n int);\n\
+     create index c_n on c (n) using ordered;\n\
+     create rule r when inserted into c if exists (select * from c where n \
+     = 2) then insert into log (select 'hit', c.n from c, inserted c i where \
+     c.n = i.n and c.n >= 2)"
+  in
+  let workload s =
+    run s "insert into c values (1), (2), (3)";
+    run s "update c set n = n + 10 where n = 3";
+    rows s "select c.n, log.n from c, log where c.n = log.n order by c.n"
+  in
+  let compiled = system script in
+  let reference =
+    system ~config:{ Engine.default_config with reference_eval = true } script
+  in
+  let r_compiled = workload compiled and r_reference = workload reference in
+  Alcotest.check rows_testable "same answers" r_compiled r_reference;
+  let st = Engine.stats (System.engine reference) in
+  Alcotest.(check (list int)) "reference engine took no access path"
+    [ 0; 0; 0; 0 ]
+    [
+      st.Engine.index_probes;
+      st.Engine.range_probes;
+      st.Engine.hash_join_builds;
+      st.Engine.seq_scans;
+    ];
+  let st = Engine.stats (System.engine compiled) in
+  Alcotest.(check bool) "the compiled engine did plan" true
+    (st.Engine.index_probes + st.Engine.range_probes > 0
+    && st.Engine.hash_join_builds > 0)
+
 let test_unknown_procedure () =
   let s = counter_system () in
   run s "create rule r when inserted into c then call ghost";
@@ -503,6 +571,10 @@ let suite =
       test_select_not_tracked_by_default;
     Alcotest.test_case "external procedure action (ext 5.2)" `Quick
       test_external_procedure_action;
+    Alcotest.test_case "procedure read probes the index" `Quick
+      test_procedure_read_probes_index;
+    Alcotest.test_case "reference engine never plans" `Quick
+      test_reference_engine_never_plans;
     Alcotest.test_case "unknown procedure" `Quick test_unknown_procedure;
     Alcotest.test_case "error mid-block aborts" `Quick test_error_mid_block_aborts;
     Alcotest.test_case "stats counting" `Quick test_stats_counting;

@@ -47,13 +47,6 @@ let test_parse_explain () =
 
 (* ---- EXPLAIN vs the executor ---- *)
 
-(* Restore the evaluator choice on any exit: the compiled path is the
-   default for the rest of the suite. *)
-let with_compile flag f =
-  let saved = !Sqlf.Compile.enabled in
-  Sqlf.Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Sqlf.Compile.enabled := saved) f
-
 let explain_statements =
   [
     "select * from emp where emp_no = 2";
@@ -72,96 +65,59 @@ let explain_statements =
    statement and compare against the deltas of the engine's own
    counters.  The statements deliberately have no subqueries, so the
    top-level plan accounts for every base-table access the executor
-   makes.  Run once per evaluator: the compiled planner must tell the
-   truth about the compiled executor exactly as the interpreting
-   planner does about the interpreter. *)
-let explain_matches_executor ~compiled () =
-  with_compile compiled (fun () ->
-      let s = indexed_system () in
-      let eng = System.engine s in
-      List.iter
-        (fun sql ->
-          let plans = explained s ("explain " ^ sql) in
-          let count f = List.length (List.filter f plans) in
-          let planned_scans =
-            count (fun p ->
-                match p.Eval.sp_path with Eval.Seq_scan _ -> true | _ -> false)
-          in
-          let planned_probes =
-            count (fun p ->
-                match p.Eval.sp_path with
-                | Eval.Index_probe _ -> true
-                | _ -> false)
-          in
-          let planned_ranges =
-            count (fun p ->
-                match p.Eval.sp_path with
-                | Eval.Range_probe _ -> true
-                | _ -> false)
-          in
-          let planned_joins = count (fun p -> p.Eval.sp_join <> None) in
-          let st = Engine.stats eng in
-          let scans0 = st.Engine.seq_scans
-          and probes0 = st.Engine.index_probes
-          and ranges0 = st.Engine.range_probes
-          and builds0 = st.Engine.hash_join_builds in
-          run s sql;
-          Alcotest.(check int)
-            (sql ^ ": seq scans")
-            planned_scans
-            (st.Engine.seq_scans - scans0);
-          Alcotest.(check int)
-            (sql ^ ": index probes")
-            planned_probes
-            (st.Engine.index_probes - probes0);
-          Alcotest.(check int)
-            (sql ^ ": range probes")
-            planned_ranges
-            (st.Engine.range_probes - ranges0);
-          Alcotest.(check int)
-            (sql ^ ": hash join builds")
-            planned_joins
-            (st.Engine.hash_join_builds - builds0))
-        explain_statements)
-
-(* The two planners must also agree with EACH OTHER, statement by
-   statement — including shapes the counter test avoids (subqueries,
-   grouping) — and on EXPLAIN RULE output. *)
-let test_plans_agree_across_evaluators () =
+   makes. *)
+let explain_matches_executor () =
   let s = indexed_system () in
-  run s
-    "create rule audit when deleted from emp if exists (select * from \
-     deleted emp where salary > 100.0) then insert into audit_log select \
-     name from deleted emp";
-  let describe plans = List.map Eval.describe_source_plan plans in
+  let eng = System.engine s in
   List.iter
     (fun sql ->
-      let pc = with_compile true (fun () -> explained s ("explain " ^ sql)) in
-      let pi = with_compile false (fun () -> explained s ("explain " ^ sql)) in
-      Alcotest.(check (list string)) (sql ^ ": same plan") (describe pi)
-        (describe pc))
-    (explain_statements
-    @ [
-        "select * from emp where emp_no in (select emp_no from emp where \
-         salary > 150.0)";
-        "select name, count(*) from emp group by name";
-        "delete from emp where salary = (select 150.0 + 50.0)";
-      ]);
-  let rc =
-    with_compile true (fun () -> Engine.explain_rule (System.engine s) "audit")
-  in
-  let ri =
-    with_compile false (fun () -> Engine.explain_rule (System.engine s) "audit")
-  in
-  Alcotest.(check (list (pair string (list string))))
-    "same rule plan"
-    (List.map (fun (sql, ps) -> (sql, describe ps)) ri)
-    (List.map (fun (sql, ps) -> (sql, describe ps)) rc)
+      let plans = explained s ("explain " ^ sql) in
+      let count f = List.length (List.filter f plans) in
+      let planned_scans =
+        count (fun p ->
+            match p.Plan.sp_path with Plan.Seq_scan _ -> true | _ -> false)
+      in
+      let planned_probes =
+        count (fun p ->
+            match p.Plan.sp_path with
+            | Plan.Index_probe _ -> true
+            | _ -> false)
+      in
+      let planned_ranges =
+        count (fun p ->
+            match p.Plan.sp_path with
+            | Plan.Range_probe _ -> true
+            | _ -> false)
+      in
+      let planned_joins = count (fun p -> p.Plan.sp_join <> None) in
+      let st = Engine.stats eng in
+      let scans0 = st.Engine.seq_scans
+      and probes0 = st.Engine.index_probes
+      and ranges0 = st.Engine.range_probes
+      and builds0 = st.Engine.hash_join_builds in
+      run s sql;
+      Alcotest.(check int)
+        (sql ^ ": seq scans")
+        planned_scans
+        (st.Engine.seq_scans - scans0);
+      Alcotest.(check int)
+        (sql ^ ": index probes")
+        planned_probes
+        (st.Engine.index_probes - probes0);
+      Alcotest.(check int)
+        (sql ^ ": range probes")
+        planned_ranges
+        (st.Engine.range_probes - ranges0);
+      Alcotest.(check int)
+        (sql ^ ": hash join builds")
+        planned_joins
+        (st.Engine.hash_join_builds - builds0))
+    explain_statements
 
 let test_explain_names_the_index () =
   let s = indexed_system () in
   match explained s "explain select * from emp where emp_no = 2" with
-  | [ { Eval.sp_binding = "emp"; sp_path = Eval.Index_probe p; _ } ] ->
+  | [ { Plan.sp_binding = "emp"; sp_path = Plan.Index_probe p; _ } ] ->
     Alcotest.(check (option string)) "index name" (Some "emp_no_ix") p.index;
     Alcotest.(check string) "column" "emp_no" p.column;
     Alcotest.(check int) "matches" 1 p.matches;
@@ -171,7 +127,7 @@ let test_explain_names_the_index () =
       (String.length p.conjunct > 0)
   | plans ->
     Alcotest.failf "expected one index probe, got: %s"
-      (String.concat "; " (List.map Eval.describe_source_plan plans))
+      (String.concat "; " (List.map Plan.describe_source_plan plans))
 
 (* A range predicate over an ordered index plans (and executes) as a
    range probe, with the cost-model estimate reported. *)
@@ -181,7 +137,7 @@ let test_explain_range_probe () =
     explained s
       "explain select name from emp where salary between 150.0 and 250.0"
   with
-  | [ { Eval.sp_binding = "emp"; sp_path = Eval.Range_probe p; _ } ] ->
+  | [ { Plan.sp_binding = "emp"; sp_path = Plan.Range_probe p; _ } ] ->
     Alcotest.(check (option string))
       "index name" (Some "emp_salary_ix") p.index;
     Alcotest.(check string) "column" "salary" p.column;
@@ -191,38 +147,37 @@ let test_explain_range_probe () =
     Alcotest.(check (option int)) "cardinality" (Some 3) p.rows
   | plans ->
     Alcotest.failf "expected one range probe, got: %s"
-      (String.concat "; " (List.map Eval.describe_source_plan plans))
+      (String.concat "; " (List.map Plan.describe_source_plan plans))
 
-(* The hash-join annotation and its executor counters, per evaluator:
-   one build for the joined source, one probe per partial row of the
-   frame under construction. *)
-let test_hash_join_counters ~compiled () =
-  with_compile compiled (fun () ->
-      let s = indexed_system () in
-      let eng = System.engine s in
-      run s "insert into audit_log values ('ada'), ('bob')";
-      let join_sql = "select * from emp e, audit_log a where e.name = a.name" in
-      (match explained s ("explain " ^ join_sql) with
-      | [ e_plan; a_plan ] ->
-        Alcotest.(check bool)
-          "first source joins nothing" true
-          (e_plan.Eval.sp_join = None);
-        (match a_plan.Eval.sp_join with
-        | Some j ->
-          Alcotest.(check string) "joined with" "e" j.Eval.jp_with;
-          Alcotest.(check bool) "conjunct rendered" true
-            (String.length j.Eval.jp_conjunct > 0)
-        | None -> Alcotest.fail "expected a hash-join annotation")
-      | plans ->
-        Alcotest.failf "expected two source plans, got %d" (List.length plans));
-      let st = Engine.stats eng in
-      let builds0 = st.Engine.hash_join_builds
-      and probes0 = st.Engine.hash_join_probes in
-      let r = rows s join_sql in
-      Alcotest.(check int) "joined rows" 2 (List.length r);
-      Alcotest.(check int) "one build" 1 (st.Engine.hash_join_builds - builds0);
-      Alcotest.(check int) "one probe per emp row" 3
-        (st.Engine.hash_join_probes - probes0))
+(* The hash-join annotation and its executor counters: one build for
+   the joined source, one probe per partial row of the frame under
+   construction. *)
+let test_hash_join_counters () =
+  let s = indexed_system () in
+  let eng = System.engine s in
+  run s "insert into audit_log values ('ada'), ('bob')";
+  let join_sql = "select * from emp e, audit_log a where e.name = a.name" in
+  (match explained s ("explain " ^ join_sql) with
+  | [ e_plan; a_plan ] ->
+    Alcotest.(check bool)
+      "first source joins nothing" true
+      (e_plan.Plan.sp_join = None);
+    (match a_plan.Plan.sp_join with
+    | Some j ->
+      Alcotest.(check string) "joined with" "e" j.Plan.jp_with;
+      Alcotest.(check bool) "conjunct rendered" true
+        (String.length j.Plan.jp_conjunct > 0)
+    | None -> Alcotest.fail "expected a hash-join annotation")
+  | plans ->
+    Alcotest.failf "expected two source plans, got %d" (List.length plans));
+  let st = Engine.stats eng in
+  let builds0 = st.Engine.hash_join_builds
+  and probes0 = st.Engine.hash_join_probes in
+  let r = rows s join_sql in
+  Alcotest.(check int) "joined rows" 2 (List.length r);
+  Alcotest.(check int) "one build" 1 (st.Engine.hash_join_builds - builds0);
+  Alcotest.(check int) "one probe per emp row" 3
+    (st.Engine.hash_join_probes - probes0)
 
 let test_explain_does_not_execute () =
   let s = indexed_system () in
@@ -250,7 +205,7 @@ let test_explain_rule () =
      deleted emp where salary > 100.0) then insert into audit_log select \
      name from deleted emp";
   (match Engine.explain_rule (System.engine s) "audit" with
-  | [ (sql, [ { Eval.sp_binding = "emp"; sp_path = Eval.Materialized m; _ } ]) ]
+  | [ (sql, [ { Plan.sp_binding = "emp"; sp_path = Plan.Materialized m; _ } ]) ]
     ->
     Alcotest.(check bool) "condition text" true
       (String.length sql > 0);
@@ -262,7 +217,7 @@ let test_explain_rule () =
     "create rule cross_check when inserted into emp if exists (select * from \
      emp where emp_no = 1) then insert into audit_log values ('x')";
   (match Engine.explain_rule (System.engine s) "cross_check" with
-  | [ (_, [ { Eval.sp_path = Eval.Index_probe p; _ } ]) ] ->
+  | [ (_, [ { Plan.sp_path = Plan.Index_probe p; _ } ]) ] ->
     Alcotest.(check (option string)) "probes via the index" (Some "emp_no_ix")
       p.index
   | r ->
@@ -543,18 +498,12 @@ let suite =
   [
     Alcotest.test_case "parse explain" `Quick test_parse_explain;
     Alcotest.test_case "explain matches the executor (compiled)" `Quick
-      (explain_matches_executor ~compiled:true);
-    Alcotest.test_case "explain matches the executor (interpreted)" `Quick
-      (explain_matches_executor ~compiled:false);
-    Alcotest.test_case "planners agree across evaluators" `Quick
-      test_plans_agree_across_evaluators;
+      explain_matches_executor;
     Alcotest.test_case "explain names the index" `Quick
       test_explain_names_the_index;
     Alcotest.test_case "explain range probe" `Quick test_explain_range_probe;
     Alcotest.test_case "hash join counters (compiled)" `Quick
-      (test_hash_join_counters ~compiled:true);
-    Alcotest.test_case "hash join counters (interpreted)" `Quick
-      (test_hash_join_counters ~compiled:false);
+      test_hash_join_counters;
     Alcotest.test_case "explain does not execute" `Quick
       test_explain_does_not_execute;
     Alcotest.test_case "explain unknown table" `Quick test_explain_unknown_table;

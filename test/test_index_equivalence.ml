@@ -372,13 +372,13 @@ let make_system ~indexed =
   s
 
 let with_planner ~pushdown ~cost f =
-  let saved_p = !Eval.predicate_pushdown and saved_c = !Eval.cost_model in
-  Eval.predicate_pushdown := pushdown;
-  Eval.cost_model := cost;
+  let saved_p = !Plan.predicate_pushdown and saved_c = !Plan.cost_model in
+  Plan.predicate_pushdown := pushdown;
+  Plan.cost_model := cost;
   Fun.protect
     ~finally:(fun () ->
-      Eval.predicate_pushdown := saved_p;
-      Eval.cost_model := saved_c)
+      Plan.predicate_pushdown := saved_p;
+      Plan.cost_model := saved_c)
     f
 
 (* Execute one block and normalize everything observable about it:

@@ -13,7 +13,7 @@
      DDL-generation bumps and planner-switch flips, teardown on
      DEALLOCATE and on session forks;
    - the differential oracle: EXECUTE under the compiled path
-     (parameter frame) equals EXECUTE under the interpreter
+     (parameter frame) equals EXECUTE under the reference evaluator
      (substitution into the tree);
    - the streaming lexer against the legacy list-materializing lexer,
      by qcheck over generated statement soup;
@@ -21,7 +21,6 @@
 
 open Core
 open Helpers
-module Compile = Sqlf.Compile
 module Lexer = Sqlf.Lexer
 module Token = Sqlf.Token
 module Pretty = Sqlf.Pretty
@@ -42,8 +41,8 @@ let expect_err ~name pred f =
     if not (pred e) then
       Alcotest.failf "%s: wrong error: %s" name (Errors.to_string e)
 
-let fixture () =
-  system
+let fixture ?config () =
+  system ?config
     "create table emp (name string, emp_no int, salary float);\n\
      insert into emp values ('ada', 1, 100.0);\n\
      insert into emp values ('bob', 2, 200.0);\n\
@@ -177,11 +176,11 @@ let test_cache_invalidation_on_planner_flip () =
   run s "prepare p as select name from emp where emp_no = ?";
   run s "execute p (1)";
   let i0 = st.Engine.stmt_cache_invalidations in
-  let saved = !Eval.predicate_pushdown in
+  let saved = !Plan.predicate_pushdown in
   Fun.protect
-    ~finally:(fun () -> Eval.predicate_pushdown := saved)
+    ~finally:(fun () -> Plan.predicate_pushdown := saved)
     (fun () ->
-      Eval.predicate_pushdown := not saved;
+      Plan.predicate_pushdown := not saved;
       run s "execute p (1)";
       Alcotest.(check int) "planner flip invalidated the plan" (i0 + 1)
         st.Engine.stmt_cache_invalidations);
@@ -225,33 +224,32 @@ let test_explain_reports_cache_state () =
     (has_line "  statement cache: stale" (explain sql))
 
 (* ------------------------------------------------------------------ *)
-(* Differential oracle: compiled frame binding = interpreter           *)
+(* Differential oracle: compiled frame binding = reference-evaluator    *)
 (* substitution                                                        *)
 
-let with_compile flag f =
-  let saved = !Compile.enabled in
-  Compile.enabled := flag;
-  Fun.protect ~finally:(fun () -> Compile.enabled := saved) f
+(* The engine configuration per evaluator: compiled closures (the
+   default) or the planner-free reference evaluator. *)
+let config_of compiled =
+  { Engine.default_config with reference_eval = not compiled }
 
 (* Run the same prepared-statement script on two fresh systems, one per
    evaluator, and compare every rendered result (including errors). *)
 let differential script =
   let run_path flag =
-    with_compile flag (fun () ->
-        let s = fixture () in
-        run s "create table log (name string, salary float)";
-        run s
-          "create rule audit when updated emp.salary then insert into log \
-           (select name, salary from new updated emp.salary)";
-        List.map
-          (fun stmt ->
-            match System.exec_one s stmt with
-            | r -> System.render_result r
-            | exception Errors.Error e -> "error: " ^ Errors.to_string e)
-          script)
+    let s = fixture ~config:(config_of flag) () in
+    run s "create table log (name string, salary float)";
+    run s
+      "create rule audit when updated emp.salary then insert into log \
+       (select name, salary from new updated emp.salary)";
+    List.map
+      (fun stmt ->
+        match System.exec_one s stmt with
+        | r -> System.render_result r
+        | exception Errors.Error e -> "error: " ^ Errors.to_string e)
+      script
   in
-  let compiled = run_path true and interpreted = run_path false in
-  Alcotest.(check (list string)) "compiled = interpreted" interpreted compiled
+  let compiled = run_path true and reference = run_path false in
+  Alcotest.(check (list string)) "compiled = reference" reference compiled
 
 let test_execute_differential () =
   differential
@@ -279,19 +277,17 @@ let test_execute_differential () =
 let test_execute_inside_transaction () =
   List.iter
     (fun flag ->
-      with_compile flag (fun () ->
-          let s = fixture () in
-          run s "prepare bump as update emp set salary = salary + ? where \
-                 emp_no = ?";
-          run s "begin";
-          run s "execute bump (10.0, 1)";
-          run s "execute bump (20.0, 1)";
-          Alcotest.(check (float 0.001)) "both executes visible in-transaction"
-            130.0
-            (float_cell s "select salary from emp where emp_no = 1");
-          run s "rollback";
-          Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
-            (float_cell s "select salary from emp where emp_no = 1")))
+      let s = fixture ~config:(config_of flag) () in
+      run s "prepare bump as update emp set salary = salary + ? where emp_no = ?";
+      run s "begin";
+      run s "execute bump (10.0, 1)";
+      run s "execute bump (20.0, 1)";
+      Alcotest.(check (float 0.001)) "both executes visible in-transaction"
+        130.0
+        (float_cell s "select salary from emp where emp_no = 1");
+      run s "rollback";
+      Alcotest.(check (float 0.001)) "rollback undoes both" 100.0
+        (float_cell s "select salary from emp where emp_no = 1"))
     [ true; false ]
 
 (* ------------------------------------------------------------------ *)

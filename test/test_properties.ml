@@ -304,14 +304,14 @@ let prop_cache_equivalence =
       in
       let resolve = Eval.base_resolver db in
       let plain = Eval.eval_select resolve query in
-      let cached =
-        Eval.eval_select ~cache:(Eval.make_cache ()) resolve query
-      in
+      let cached = Sqlf.Compile.eval_select ~use_cache:true resolve db query in
       List.length plain.Eval.rows = List.length cached.Eval.rows
       && List.for_all2 Row.equal plain.Eval.rows cached.Eval.rows)
 
 (* ------------------------------------------------------------------ *)
-(* The hash equi-join never changes results or row order.              *)
+(* The hash equi-join never changes results or row order: the compiled
+   executor with join optimization on against the reference evaluator's
+   nested loops. *)
 
 let prop_hash_join_equivalence =
   let gen st =
@@ -351,11 +351,8 @@ let prop_hash_join_equivalence =
       in
       let query = Parser.parse_select_string sql in
       let resolve = Eval.base_resolver db in
-      Eval.join_optimization := true;
-      let fast = Eval.eval_select resolve query in
-      Eval.join_optimization := false;
+      let fast = Sqlf.Compile.eval_select resolve db query in
       let slow = Eval.eval_select resolve query in
-      Eval.join_optimization := true;
       List.length fast.Eval.rows = List.length slow.Eval.rows
       && List.for_all2 Row.equal fast.Eval.rows slow.Eval.rows)
 

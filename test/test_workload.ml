@@ -7,7 +7,7 @@
      Zipfian skew, bounds);
    - registry tests (the five built-in scenarios, error behaviour);
    - short mode: every registered scenario through the in-memory
-     differential runner (compiled+indexed vs interpreted vs
+     differential runner (compiled+indexed vs reference-evaluator vs
      index-free twins, invariants checked throughout) — this is the
      [dune runtest] deterministic slice;
    - the rule-density knob: padding rules must be semantically inert;
